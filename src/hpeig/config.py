@@ -70,6 +70,9 @@ def parse_config(path):
         spec = problem(prob["name"])
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
+    if "initial_cells" in prob and spec.default_cells == 0:
+        raise ConfigError(f"problem {spec.key!r} has a fixed mesh; "
+                          "remove initial_cells")
     cells = prob.get("initial_cells", spec.default_cells)
 
     adapt = _section(parser, "adapt", _ADAPT_KEYS)

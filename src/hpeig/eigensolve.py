@@ -1,17 +1,21 @@
 """Lowest eigenpairs of the pencil (B, M) with symmetric B, positive M.
 
-Small problems go to a dense generalized eigensolver.  Larger ones use
-shift-and-invert subspace iteration: factor B - shift M once, iterate a
-block slightly larger than the requested count, and extract Ritz pairs.
+Shift-and-invert Lanczos through ARPACK (Lehoucq, Sorensen and Yang,
+ARPACK Users' Guide, 1998): B - shift M is factored once with SuperLU,
+and its solves are the operator whose largest eigenvalues ARPACK finds.
 A negative shift keeps the factorization definite when B itself is only
-semidefinite (pure Neumann problems).
+semidefinite (pure Neumann problems).  ARPACK needs more unknowns than
+pairs plus one, so only smaller pencils go to a dense solver.
+
+ARPACK's Ritz estimates bound the residual of the inverted operator,
+not the relative residual of the pencil that `tol` limits, so ARPACK is
+asked for tol / 100 and the returned pairs are checked against tol.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 
@@ -21,7 +25,10 @@ class SolverError(RuntimeError):
 
 @dataclass
 class EigenCluster:
-    """Lowest eigenpairs, ascending; vectors are M-orthonormal columns."""
+    """Lowest eigenpairs, ascending; vectors are M-orthonormal columns.
+
+    iterations counts the solves with the factored operator (0 if dense).
+    """
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
@@ -37,19 +44,8 @@ def _residuals(B, M, values, vectors):
     return np.linalg.norm(R, axis=0) / scale
 
 
-def _m_orthonormalize(X, M):
-    G = X.T @ (M @ X)
-    try:
-        L = scipy.linalg.cholesky(G, lower=True)
-        return scipy.linalg.solve_triangular(L, X.T, lower=True).T
-    except scipy.linalg.LinAlgError:
-        w, Q = scipy.linalg.eigh(G)
-        keep = w > 1e-14 * w.max()
-        return (X @ Q[:, keep]) / np.sqrt(w[keep])
-
-
 def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
-                 x0=None, dense_cutoff=2000):
+                 x0=None):
     """Lowest m eigenpairs of B x = lambda M x.
 
     Parameters
@@ -58,53 +54,51 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
     m : number of pairs.
     shift : pole of the inverted operator; must stay below the spectrum
         (0 for coercive B, negative when B is singular).
+    tol : largest accepted relative residual of a returned pair.
+    max_iter : ARPACK restart limit.
+    seed : seeds the random start vector of a cold solve.
     x0 : optional (n, k) block of starting vectors (a transferred
-        cluster from a previous space), used to warm start.
-    dense_cutoff : below this dimension a dense solver is used.
+        cluster from a previous space); their sum is the start vector.
 
     Returns
     -------
-    EigenCluster
+    EigenCluster; raises SolverError if ARPACK fails or tol is missed.
     """
     n = B.shape[0]
     if m > n:
         raise ValueError(f"asked for {m} pairs in dimension {n}")
 
-    if n <= dense_cutoff:
-        Bd = B.toarray() if scipy.sparse.issparse(B) else np.asarray(B)
-        Md = M.toarray() if scipy.sparse.issparse(M) else np.asarray(M)
-        values, vectors = scipy.linalg.eigh(Bd, Md, subset_by_index=[0, m - 1])
+    if n <= m + 1:
+        values, vectors = scipy.linalg.eigh(B.toarray(), M.toarray(),
+                                            subset_by_index=[0, m - 1])
         return EigenCluster(values, vectors,
                             _residuals(B, M, values, vectors), 0)
 
-    block = min(n, m + 5)
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, block))
-    if x0 is not None:
-        x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-        if x0.shape[0] != n:
-            x0 = x0.T
-        k = min(block, x0.shape[1])
-        X[:, :k] = x0[:, :k]
-
+    if x0 is None:
+        v0 = rng.standard_normal(n)
+    else:
+        v0 = np.asarray(x0, dtype=float).reshape(n, -1).sum(axis=1)
     F = scipy.sparse.linalg.splu((B - shift * M).tocsc())
-    X = _m_orthonormalize(X, M)
-    for it in range(1, max_iter + 1):
-        Y = F.solve(M @ X)
-        Y = _m_orthonormalize(Y, M)
-        T = Y.T @ (B @ Y)
-        theta, Q = scipy.linalg.eigh(0.5 * (T + T.T))
-        X = Y @ Q
-        res = _residuals(B, M, theta[:m], X[:, :m])
-        if res.max() <= tol:
-            return EigenCluster(theta[:m], X[:, :m], res, it)
-    raise SolverError(
-        f"no convergence in {max_iter} iterations, residual {res.max():.2e}")
+    solves = 0
 
+    def inverse(b):
+        nonlocal solves
+        solves += 1
+        return F.solve(b)
 
-def dense_reference(B, M, m):
-    """Full dense solve of the lowest m pairs, as an independent check."""
-    Bd = B.toarray() if scipy.sparse.issparse(B) else np.asarray(B)
-    Md = M.toarray() if scipy.sparse.issparse(M) else np.asarray(M)
-    values, vectors = scipy.linalg.eigh(Bd, Md)
-    return values[:m], vectors[:, :m]
+    OPinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=inverse,
+                                               dtype=float)
+    try:
+        theta, X = scipy.sparse.linalg.eigsh(
+            B, k=m, M=M, sigma=shift, which="LM", OPinv=OPinv, v0=v0,
+            tol=tol / 100, maxiter=max_iter, rng=rng)  # rng: restart vectors
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise SolverError(f"ARPACK failed after {solves} solves: {exc}") from exc
+    order = np.argsort(theta)
+    theta, X = theta[order], X[:, order]
+    res = _residuals(B, M, theta, X)
+    if res.max() > tol:
+        raise SolverError(f"residual {res.max():.2e} above tolerance "
+                          f"{tol:.0e} after {solves} solves")
+    return EigenCluster(theta, X, res, solves)

@@ -51,40 +51,46 @@ def _bessel_mp(nu, x):
                 raise RuntimeError("Bessel series failed to terminate")
 
 
-@functools.lru_cache(maxsize=None)
+def _scan_roots(nu):
+    """Positive roots of J_nu below 60 in increasing order, found lazily.
+
+    For nu >= -1/2 the first root lies above 1.5 and consecutive roots
+    are more than 3 apart, so a sign scan with unit step from x = 1
+    brackets each root alone.  Each bracket is refined with the Illinois
+    variant of regula falsi on the same 50-digit series.
+    """
+    nu_mp = mp.mpf(nu)
+    f = lambda x: _bessel_mp(nu_mp, x)
+    x, f_prev = 1, f(mp.mpf(1))
+    while x < 60:
+        f_next = f(mp.mpf(x + 1))
+        if f_prev * f_next < 0:
+            with mp.workdps(_DPS):  # not held across the yield
+                root = mp.findroot(f, (mp.mpf(x), mp.mpf(x + 1)),
+                                   solver="illinois", tol=1e-20)
+            yield float(root)
+        x, f_prev = x + 1, f_next
+
+
+_ROOTS = {}  # order -> (roots found so far, generator of the rest)
+
+
 def bessel_root(nu, m):
     """m-th positive root of J_nu, for nu in [-1/2, 5], m <= 10.
 
-    Sign-change scan with step 0.1 followed by bisection to 1e-13.
+    Each order is scanned once; its roots are cached as they are found.
     """
     if not -0.5 <= nu <= 5.0:
         raise ValueError("order outside [-1/2, 5]")
     if not 1 <= m <= 10:
         raise ValueError("root index must be in 1..10")
-    nu_mp = mp.mpf(nu)
-    found = 0
-    x = mp.mpf("0.1")
-    step = mp.mpf("0.1")
-    f_prev = _bessel_mp(nu_mp, x)
-    while x < 60:
-        x_next = x + step
-        f_next = _bessel_mp(nu_mp, x_next)
-        if f_prev * f_next < 0:
-            found += 1
-            if found == m:
-                lo, hi = x, x_next
-                flo = f_prev
-                with mp.workdps(_DPS):
-                    while hi - lo > mp.mpf("1e-14"):
-                        mid = (lo + hi) / 2
-                        fm = _bessel_mp(nu_mp, mid)
-                        if flo * fm <= 0:
-                            hi = mid
-                        else:
-                            lo, flo = mid, fm
-                return float((lo + hi) / 2)
-        x, f_prev = x_next, f_next
-    raise ValueError(f"fewer than {m} roots of J_{nu} below 60")
+    roots, rest = _ROOTS.setdefault(nu, ([], _scan_roots(nu)))
+    while len(roots) < m:
+        root = next(rest, None)
+        if root is None:
+            raise ValueError(f"fewer than {m} roots of J_{nu} below 60")
+        roots.append(root)
+    return roots[m - 1]
 
 
 def square_dirichlet(i, j):

@@ -48,6 +48,17 @@ seed = 7
     assert (cfg.solver_tol, cfg.solver_max_iter, cfg.seed) == (1e-8, 99, 7)
 
 
+def test_initial_cells_rejected_for_fixed_mesh(tmp_path):
+    with pytest.raises(ConfigError, match="fixed mesh"):
+        parse_config(write(tmp_path, """
+[problem]
+name = triangle_hole
+initial_cells = 8
+"""))
+    setup = parse_config(write(tmp_path, "[problem]\nname = triangle_hole\n"))
+    assert setup.initial_cells == 0
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config(str(tmp_path / "absent.ini"))

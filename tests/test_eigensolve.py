@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
+import hpeig.cli as cli
 from hpeig.assembly import Coefficients, assemble_mass, assemble_stiffness
-from hpeig.eigensolve import SolverError, dense_reference, solve_lowest
+from hpeig.eigensolve import SolverError, solve_lowest
 from hpeig.mesh import square_grid, uniform_refine
 from hpeig.space import DofHandler
 
@@ -17,11 +20,18 @@ def random_pencil(n, seed=0):
     return B, M
 
 
-def test_subspace_iteration_matches_dense():
+def dense_reference(B, M, m):
+    """Full dense solve of the lowest m pairs, as an independent check."""
+    values, vectors = scipy.linalg.eigh(B.toarray(), M.toarray())
+    return values[:m], vectors[:, :m]
+
+
+def test_arpack_matches_dense():
     B, M = random_pencil(300)
-    got = solve_lowest(B, M, 6, dense_cutoff=10, seed=1)
+    got = solve_lowest(B, M, 6, seed=1)
+    assert got.iterations > 0
     ref_vals, _ = dense_reference(B, M, 6)
-    assert np.allclose(got.values, ref_vals, rtol=1e-9)
+    assert np.max(np.abs(got.values / ref_vals - 1.0)) <= 1e-12
     G = got.vectors.T @ (M @ got.vectors)
     assert np.allclose(G, np.eye(6), atol=1e-9)
     assert got.residuals.max() <= 1e-10
@@ -29,10 +39,17 @@ def test_subspace_iteration_matches_dense():
     assert np.allclose(T, np.diag(got.values), atol=1e-7 * got.values.max())
 
 
-def test_dense_path_used_for_small_problems():
-    B, M = random_pencil(120, seed=3)
+def test_dense_path_only_below_arpack_limit():
+    # ARPACK needs more than m + 1 unknowns; smaller pencils go dense
+    for n, m in ((1, 1), (4, 3), (5, 4)):
+        B, M = random_pencil(n, seed=3)
+        got = solve_lowest(B, M, m)
+        assert got.iterations == 0
+        ref_vals, _ = dense_reference(B, M, m)
+        assert np.allclose(got.values, ref_vals, rtol=1e-12)
+    B, M = random_pencil(6, seed=3)
     got = solve_lowest(B, M, 4)
-    assert got.iterations == 0
+    assert got.iterations > 0
     ref_vals, _ = dense_reference(B, M, 4)
     assert np.allclose(got.values, ref_vals, rtol=1e-12)
 
@@ -42,7 +59,7 @@ def test_dirichlet_laplacian_on_square():
     h = DofHandler(mesh, 2, dirichlet_tags=("boundary",))
     B = assemble_stiffness(h, Coefficients())
     M = assemble_mass(h)
-    got = solve_lowest(B, M, 4, dense_cutoff=100, seed=0)
+    got = solve_lowest(B, M, 4, seed=0)
     exact = np.pi**2 * np.array([2.0, 5.0, 5.0, 8.0])
     assert np.all(got.values >= exact - 1e-9)  # Ritz values from above
     assert np.max(np.abs(got.values / exact - 1.0)) < 5e-3
@@ -54,7 +71,7 @@ def test_neumann_zero_mode_with_negative_shift():
     h = DofHandler(mesh, 2)
     B = assemble_stiffness(h, Coefficients())
     M = assemble_mass(h)
-    got = solve_lowest(B, M, 4, shift=-1.0, dense_cutoff=100, seed=0)
+    got = solve_lowest(B, M, 4, shift=-1.0, seed=0)
     exact = np.pi**2 * np.array([0.0, 1.0, 1.0, 2.0])
     assert abs(got.values[0]) < 1e-8
     assert np.max(np.abs(got.values[1:] / exact[1:] - 1.0)) < 2e-3
@@ -62,15 +79,34 @@ def test_neumann_zero_mode_with_negative_shift():
 
 def test_warm_start_reduces_iterations():
     B, M = random_pencil(400, seed=5)
-    cold = solve_lowest(B, M, 5, dense_cutoff=10, seed=2)
-    warm = solve_lowest(B, M, 5, dense_cutoff=10, seed=2, x0=cold.vectors)
-    assert warm.iterations <= max(2, cold.iterations // 2)
+    cold = solve_lowest(B, M, 5, seed=2)
+    warm = solve_lowest(B, M, 5, seed=2, x0=cold.vectors)
+    # iterations counts solves with the factored operator
+    assert 0 < warm.iterations <= max(2, cold.iterations // 2)
     assert np.allclose(warm.values, cold.values, rtol=1e-9)
 
 
 def test_failure_raises():
     B, M = random_pencil(250, seed=7)
     with pytest.raises(SolverError):
-        solve_lowest(B, M, 4, dense_cutoff=10, tol=1e-15, max_iter=2)
+        solve_lowest(B, M, 4, tol=1e-15, max_iter=2)
     with pytest.raises(ValueError):
         solve_lowest(B, M, 251)
+
+
+def test_arpack_no_convergence_is_solver_error():
+    B, M = random_pencil(250, seed=7)
+    with pytest.raises(SolverError, match="ARPACK") as info:
+        solve_lowest(B, M, 4, max_iter=1)
+    assert isinstance(info.value.__cause__,
+                      scipy.sparse.linalg.ArpackNoConvergence)
+
+
+def test_run_exits_3_when_arpack_does_not_converge(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[problem]\nname = diffusion_a100\n\n"
+                   "[adapt]\ndof_budget = 300\n\n"
+                   "[solver]\ntol = 1e-14\nmax_iter = 1\n")
+    assert cli.main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 3
+    assert "ARPACK" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -67,6 +68,15 @@ def test_bessel_roots_fractional_orders_against_scipy():
         spectra.bessel_root(5.5, 1)
     with pytest.raises(ValueError):
         spectra.bessel_root(1.0, 11)
+
+
+def test_slit_disk_roots_against_mpmath():
+    # mpmath's own zero finder on its own Bessel evaluation
+    for k in range(1, 9):
+        nu = (2 * k - 1) / 4.0
+        for m in range(1, 5):
+            want = float(mpmath.besseljzero(mpmath.mpf(nu), m))
+            assert spectra.bessel_root(nu, m) == pytest.approx(want, rel=1e-13)
 
 
 def test_slit_disk_table_reproduced():
