@@ -85,30 +85,35 @@ def estimate_analyticity(handler, coeffs_full, elems, members):
 
     The local field is projected onto the orthonormal modal basis of
     its element; block norms a_q per polynomial degree decay like
-    exp(-sigma q) for analytic fields.  The fit drops blocks below
-    1e-14 of the largest and ignores the constant block once p >= 3;
-    fewer than two surviving points means the expansion is resolved
-    and returns +inf.
+    exp(-sigma q) for analytic fields.  The least-squares fit of
+    log a_q against q drops blocks below 1e-14 of the largest and
+    ignores the constant block once p >= 3; fewer than two surviving
+    points means the expansion is resolved and returns +inf.
     """
-    sigmas = np.empty(len(elems))
-    for i, (k, mode) in enumerate(zip(elems, members)):
-        p = int(handler.degrees[k])
+    elems = np.asarray(elems, dtype=np.int64)
+    members = np.asarray(members, dtype=np.int64)
+    sigmas = np.empty(elems.size)
+    for p in np.unique(handler.degrees[elems]).tolist():
+        sel = np.nonzero(handler.degrees[elems] == p)[0]
         pts, w = triangle_rule(2 * p)
         V = tri_shapes(p, pts, nderiv=0)["val"]
-        D = dubiner(p, pts)
-        local = handler.local_coeffs(coeffs_full[:, mode], [k])[0]
-        coef = D.T @ (w * (V @ local))
-        degs = dubiner_degrees(p)
-        a = np.array([np.linalg.norm(coef[degs == q]) for q in range(p + 1)])
+        local = handler.gather(coeffs_full, p, handler.row[elems[sel]])
+        local = local[np.arange(sel.size), :, members[sel]]
+        coef = (local @ V.T * w) @ dubiner(p, pts)
         q = np.arange(p + 1)
-        keep = a >= 1e-14 * max(a.max(), 1e-300)
+        a = np.sqrt(coef**2 @ (dubiner_degrees(p)[:, None] == q))
+        keep = a >= 1e-14 * np.maximum(a.max(axis=1, keepdims=True), 1e-300)
         if p >= 3:
-            keep[0] = False
-        if keep.sum() < 2:
-            sigmas[i] = np.inf
-            continue
-        slope = np.polyfit(q[keep], np.log(a[keep]), 1)[0]
-        sigmas[i] = -slope
+            keep[:, 0] = False
+        # least-squares slope over the kept points of each row
+        n = keep.sum(axis=1)
+        resolved = n < 2
+        q_mean = (keep * q).sum(axis=1) / np.maximum(n, 1)
+        dq = np.where(keep, q - q_mean[:, None], 0.0)
+        y = np.log(np.where(keep, a, 1.0))
+        slope = (dq * y).sum(axis=1) / np.where(resolved, 1.0,
+                                                (dq**2).sum(axis=1))
+        sigmas[sel] = np.where(resolved, np.inf, -slope)
     return sigmas
 
 
@@ -134,28 +139,36 @@ def decide_refinements(handler, field, vectors, marked, cfg):
     return marked[~take_p], marked[take_p], sigmas
 
 
+def solve_cluster(handler, co, cfg, x0=None):
+    """Assemble B and M on handler's space and solve for the cluster.
+
+    Without Dirichlet data the shift is -1, which keeps the
+    factorization of a pure Neumann problem nonsingular; otherwise 0.
+    x0 (free dofs) warm-starts the solve.
+    """
+    B = assemble_stiffness(handler, co)
+    M = assemble_mass(handler)
+    shift = 0.0 if handler.dirichlet_tags else -1.0
+    return solve_lowest(B, M, cfg.m, shift=shift, tol=cfg.solver_tol,
+                        max_iter=cfg.solver_max_iter, seed=cfg.seed, x0=x0)
+
+
 def adapt_loop(mesh, co, dirichlet_tags, cfg):
     """Generate ConvergenceRecords until the dof budget is met.
 
     Solves are warm-started by carrying the previous cluster through
-    mesh refinement and degree increases.  Pure Neumann problems use a
-    negative shift to keep the factorization nonsingular.
+    mesh refinement and degree increases.
     """
     degrees = np.full(mesh.n_elements, cfg.p_init, dtype=np.int64)
-    shift = 0.0 if dirichlet_tags else -1.0
     prev = None
     for step in range(cfg.max_steps):
         handler = DofHandler(mesh, degrees, dirichlet_tags)
-        B = assemble_stiffness(handler, co)
-        M = assemble_mass(handler)
         x0 = None
         if prev is not None:
             carried = transfer(prev.handler, handler,
                                prev.handler.expand(prev.cluster.vectors))
             x0 = handler.restrict(carried)
-        cluster = solve_lowest(B, M, cfg.m, shift=shift, tol=cfg.solver_tol,
-                               max_iter=cfg.solver_max_iter, seed=cfg.seed,
-                               x0=x0)
+        cluster = solve_cluster(handler, co, cfg, x0=x0)
         field = estimate(handler, cluster.vectors, cluster.values, co)
         record = ConvergenceRecord(step, handler, cluster, field)
         yield record

@@ -59,11 +59,14 @@ class Coefficients:
 
 @functools.lru_cache(maxsize=None)
 def reference_kernels(p):
-    """Cached reference tables for degree p.
+    """Cached reference tables for degree p, the one such cache.
 
-    Returns dict with quadrature (pts, w), value table V (nq, nl),
-    gradient tables G (nq, nl, 2), hessian table H (nq, nl, 3),
-    stiffness blocks S (2, 2, nl, nl) and mass M (nl, nl).
+    Returns dict with quadrature (pts, w) exact to degree 2p, value
+    table V (nq, nl), gradient tables G (nq, nl, 2), hessian table
+    H (nq, nl, 3), stiffness blocks S (2, 2, nl, nl) and mass
+    M (nl, nl).  Assembly reads S, M and V; the estimator's interior
+    residual reads V and H; interpolation and transfer project with
+    V and M.
     """
     pts, w = triangle_rule(2 * p)
     sh = tri_shapes(p, pts, nderiv=2)
@@ -78,8 +81,7 @@ def _scatter(handler, build_local):
     rows, cols, vals = [], [], []
     mesh = handler.mesh
     maps = mesh.maps()
-    for p, ids in handler.groups.items():
-        ids, g, s = handler.group_l2g(p)
+    for p, (ids, g, s) in handler.groups.items():
         loc = build_local(p, ids, maps)
         loc = loc * s[:, :, None] * s[:, None, :]
         gf = np.where(g >= 0, handler.full_to_free[np.maximum(g, 0)], -1)
@@ -136,11 +138,9 @@ def assemble_load(handler, coeffs_full):
     if squeeze:
         coeffs_full = coeffs_full[:, None]
     out = np.zeros((handler.n_dofs, coeffs_full.shape[1]))
-    for p, _ in handler.groups.items():
-        ids, g, s = handler.group_l2g(p)
+    for p, (ids, g, s) in handler.groups.items():
         ker = reference_kernels(p)
-        loc = np.where((g >= 0)[:, :, None], coeffs_full[np.maximum(g, 0)], 0.0)
-        loc = loc * s[:, :, None]
+        loc = handler.gather(coeffs_full, p)
         fvals = np.einsum("ql,klm->kqm", ker["V"], loc)
         rhs = np.einsum("ql,q,kqm->klm", ker["V"], ker["w"], fvals)
         rhs *= maps["detJ"][ids][:, None, None]

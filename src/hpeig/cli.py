@@ -15,10 +15,10 @@ import sys
 
 import numpy as np
 
-from .assembly import assemble_mass, assemble_stiffness
+from .adaptivity import solve_cluster
 from .config import ConfigError, parse_config
 from .defects import oracle_checks
-from .eigensolve import SolverError, solve_lowest
+from .eigensolve import SolverError
 from .problems import problem, problem_keys
 from .runner import run_study
 from .space import DofHandler
@@ -76,12 +76,8 @@ def _cmd_oracle_check(args):
     mesh = spec.mesh(setup.initial_cells)
     handler = DofHandler(mesh, np.full(mesh.n_elements, cfg.p_init),
                          dirichlet_tags=spec.dirichlet_tags)
-    B = assemble_stiffness(handler, spec.coefficients)
-    M = assemble_mass(handler)
-    shift = 0.0 if spec.dirichlet_tags else -1.0
     try:
-        cluster = solve_lowest(B, M, cfg.m, shift=shift, tol=cfg.solver_tol,
-                               max_iter=cfg.solver_max_iter, seed=cfg.seed)
+        cluster = solve_cluster(handler, spec.coefficients, cfg)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

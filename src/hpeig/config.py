@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .adaptivity import AdaptConfig
 from .problems import problem
+from .spectra import registry
 
 
 class ConfigError(ValueError):
@@ -86,4 +87,8 @@ def parse_config(path):
         cfg = AdaptConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    n_refs = len(registry(spec.reference).flat()[0])
+    if cfg.m > n_refs:
+        raise ConfigError(f"m = {cfg.m} exceeds the {n_refs} reference "
+                          f"eigenvalues of problem {spec.key!r}")
     return RunSetup(problem_key=spec.key, initial_cells=cells, config=cfg)

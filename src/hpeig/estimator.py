@@ -12,37 +12,25 @@ with R = value * field - c * field + A : Hess(field) on K and r the
 jump of the conormal flux A grad(field) . n (single-sided on Neumann
 edges, zero on Dirichlet edges).  p_e is the larger adjacent degree.
 
-Totals are accumulated with compensated summation in ascending element
-id so that reruns and element orderings cannot perturb marking.
+Totals are correctly rounded sums (math.fsum), so they do not depend
+on element order and reruns or renumberings cannot perturb marking.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import reference_kernels
 from .basis import tri_shapes
 from .mesh import LOCAL_EDGES
-from .quadrature import interval_rule, triangle_rule
+from .quadrature import interval_rule
 
 # computed eigenvalues at or below this size are zero modes of pure
 # Neumann problems; value-scaled sums skip them
 ZERO_MODE_TOL = 1e-8
 
 _CHUNK = 4096
-
-
-def kahan_sum(values):
-    """Compensated (Kahan-Neumaier) sum, accumulated in the given order."""
-    total = 0.0
-    comp = 0.0
-    for x in np.asarray(values, dtype=float):
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
 
 
 @dataclass
@@ -63,11 +51,6 @@ class IndicatorField:
     total: float
 
 
-def _gather_local(handler, coeffs_full, g, s):
-    c = np.where((g >= 0)[:, :, None], coeffs_full[np.maximum(g, 0)], 0.0)
-    return c * s[:, :, None]
-
-
 def element_residual_norms(handler, coeffs_full, values, co):
     """Squared L2 norms of the strong interior residual, shape (ne, m).
 
@@ -81,20 +64,17 @@ def element_residual_norms(handler, coeffs_full, values, co):
     A_el, c_el = co.on_elements(mesh)
     maps = mesh.maps()
     out = np.zeros((mesh.n_elements, m))
-    for p, ids in handler.groups.items():
-        if ids.size == 0:
-            continue
-        pts, w = triangle_rule(2 * p)
-        sh = tri_shapes(p, pts, nderiv=2)
-        _, g, s = handler.group_l2g(p)
-        U = _gather_local(handler, coeffs_full, g, s)
+    for p, (ids, _, _) in handler.groups.items():
+        ker = reference_kernels(p)
+        U = handler.gather(coeffs_full, p)
         Jinv = maps["Jinv"][ids]
         W = np.einsum("kab,kbc,kdc->kad", Jinv, A_el[ids], Jinv)
         wvec = np.stack([W[:, 0, 0], 2.0 * W[:, 0, 1], W[:, 1, 1]], axis=1)
-        u = np.einsum("ql,klm->kqm", sh["val"], U)
-        lap = np.einsum("kc,qlc,klm->kqm", wvec, sh["hess"], U)
+        u = np.einsum("ql,klm->kqm", ker["V"], U)
+        lap = np.einsum("kc,qlc,klm->kqm", wvec, ker["H"], U)
         R = (values[None, None, :] - c_el[ids, None, None]) * u + lap
-        out[ids] = maps["detJ"][ids, None] * np.einsum("q,kqm->km", w, R**2)
+        out[ids] = maps["detJ"][ids, None] * np.einsum("q,kqm->km", ker["w"],
+                                                        R**2)
     return out
 
 
@@ -123,12 +103,8 @@ def edge_jump_norms(handler, coeffs_full, co, kinds):
     local_a = np.array([e[0] for e in LOCAL_EDGES])
     local_b = np.array([e[1] for e in LOCAL_EDGES])
 
-    for p, ids in handler.groups.items():
-        if ids.size == 0:
-            continue
-        _, g_all, s_all = handler.group_l2g(p)
-        U_all = _gather_local(handler, coeffs_full, g_all, s_all)
-        pos = {int(k): i for i, k in enumerate(ids)}
+    for p in handler.groups:
+        U_all = handler.gather(coeffs_full, p)
         sides_e, sides_k, sides_l = [], [], []
         for side in range(2):
             on = (mesh.edge_elems[:, side] >= 0) & active
@@ -142,7 +118,7 @@ def edge_jump_norms(handler, coeffs_full, co, kinds):
         sides_l = np.concatenate(sides_l)
         if sides_e.size == 0:
             continue
-        rows = np.array([pos[int(k)] for k in sides_k])
+        rows = handler.row[sides_k]
 
         # outward normal times A, pulled back through the chain rule so
         # the flux is a fixed contraction with reference gradients
@@ -198,11 +174,11 @@ def estimate(handler, coeffs, values, co):
                     jumps[mesh.elem_edges])
 
     included = np.abs(values) > ZERO_MODE_TOL * max(1.0, float(np.max(np.abs(values))))
-    mode_totals = np.array([kahan_sum(local[:, i]) for i in range(values.size)])
+    mode_totals = np.array([math.fsum(col) for col in local.T])
     scaled_local = np.zeros_like(local)
     scaled_local[:, included] = local[:, included] / values[included]
     element_totals = scaled_local.sum(axis=1)
-    total = kahan_sum(mode_totals[included] / values[included])
+    total = math.fsum(mode_totals[included] / values[included])
     return IndicatorField(local=local, values=values.copy(), included=included,
                           mode_totals=mode_totals, scaled_local=scaled_local,
                           element_totals=element_totals, total=float(total))
@@ -215,7 +191,7 @@ def total_error(values, refs, included=None):
     if included is None:
         included = np.ones(values.size, dtype=bool)
     rel = (values[included] - refs[included]) / values[included]
-    return kahan_sum(rel)
+    return math.fsum(rel)
 
 
 def effectivity(field, refs):

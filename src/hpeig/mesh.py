@@ -83,7 +83,6 @@ class Mesh:
                 elem_edges[k, l] = e
         self.edges = np.array(edge_list, dtype=np.int64)
         self.elem_edges = elem_edges
-        self._edge_index = edge_index
         nE = len(edge_list)
 
         self.edge_elems = np.full((nE, 2), -1, dtype=np.int64)
@@ -114,16 +113,6 @@ class Mesh:
         if np.any(boundary & (self.edge_tag < 0)):
             e = int(np.nonzero(boundary & (self.edge_tag < 0))[0][0])
             raise ValueError(f"boundary edge {tuple(self.edges[e])} has no tag")
-
-        # orientation: does local edge direction (a -> b) run from the
-        # lower to the higher global vertex id
-        self.edge_orient = np.zeros((nE, 2), dtype=bool)
-        for side in range(2):
-            ok = self.edge_elems[:, side] >= 0
-            ks = self.edge_elems[ok, side]
-            ls = self.edge_local[ok, side]
-            first = self.elements[ks, np.array([e[0] for e in LOCAL_EDGES])[ls]]
-            self.edge_orient[ok, side] = first == self.edges[ok, 0]
 
         ev = self.vertices[self.edges]
         self.edge_length = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)

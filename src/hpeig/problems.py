@@ -6,6 +6,7 @@ checkerboard problems put the contrast on the lower-left and
 upper-right quadrants of the unit square.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ def _checkerboard(kind, value):
                         c=[0.0, 0.0, 0.0, 0.0])
 
 
+@functools.cache
 def _registry():
     sq = lambda n: square_grid(n)
     sq_q = lambda n: square_grid(n, region_fn=_quadrants)
@@ -97,22 +99,14 @@ def _registry():
     }
 
 
-_PROBLEMS = None
-
-
 def problem(key):
     """Look up a benchmark by key; raises KeyError with the options."""
-    global _PROBLEMS
-    if _PROBLEMS is None:
-        _PROBLEMS = _registry()
-    if key not in _PROBLEMS:
+    specs = _registry()
+    if key not in specs:
         raise KeyError(f"unknown problem {key!r}; choose from "
-                       f"{sorted(_PROBLEMS)}")
-    return _PROBLEMS[key]
+                       f"{sorted(specs)}")
+    return specs[key]
 
 
 def problem_keys():
-    global _PROBLEMS
-    if _PROBLEMS is None:
-        _PROBLEMS = _registry()
-    return sorted(_PROBLEMS)
+    return sorted(_registry())

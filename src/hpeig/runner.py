@@ -8,13 +8,13 @@ identical.
 """
 
 import csv
+import math
 import os
 import time
 
 import numpy as np
 
 from .adaptivity import adapt_loop
-from .estimator import kahan_sum
 from .problems import problem
 from .spectra import registry
 from .vtkio import write_vtk
@@ -53,7 +53,7 @@ def study_rows(record, refs, seconds):
     row += [_fmt(e) for e in field.mode_totals]
     row.append(_fmt(field.total))
     if rel:
-        total_err = kahan_sum(np.asarray(rel))
+        total_err = math.fsum(rel)
         row.append(_fmt(total_err))
         row.append(_fmt(total_err / field.total) if field.total > 0 else "")
     else:

@@ -18,35 +18,40 @@ import functools
 import numpy as np
 import scipy.linalg
 
+from .assembly import reference_kernels
 from .basis import (
     EDGE_VERTICES,
     bubble_indices,
     edge_mode_indices,
     edge_shapes,
     n_local,
-    layout,
     tri_shapes,
 )
-from .quadrature import interval_rule, triangle_rule
+from .quadrature import interval_rule
 
 
 @functools.lru_cache(maxsize=None)
-def _ref_mass(p):
-    pts, w = triangle_rule(2 * p)
-    V = tri_shapes(p, pts, nderiv=0)["val"]
-    M = (V * w[:, None]).T @ V
-    return scipy.linalg.cho_factor(M)
-
-
-@functools.lru_cache(maxsize=None)
-def _edge_gram(nmodes, p_full):
-    t, w = interval_rule(2 * p_full + 2)
-    E = edge_shapes(p_full, t)[:, 2 : 2 + nmodes]
+def _edge_gram(p):
+    t, w = interval_rule(2 * p + 2)
+    E = edge_shapes(p, t)[:, 2 : p + 1]
     return scipy.linalg.cho_factor((E * w[:, None]).T @ E), t, w, E
+
+
+def _ref_projection(p, rhs):
+    """Coefficients of the reference L2 projection: M_ref^{-1} rhs."""
+    return scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(reference_kernels(p)["M"]), rhs)
 
 
 class DofHandler:
     """Conforming dof numbering for a variable-degree space on a mesh.
+
+    Elements are grouped by degree: groups[p] = (ids, l2g, signs) holds
+    the ascending ids of the degree-p elements and, one row per element,
+    the global dof of each local mode and its sign.  A local edge mode
+    above the conforming degree of its edge is absent and has l2g = -1
+    and sign 0, so gather(coeffs, p) (coeffs[max(l2g, 0)] * signs) reads
+    zero there.  row[k] is element k's row in its group.
 
     Parameters
     ----------
@@ -70,7 +75,7 @@ class DofHandler:
         if unknown:
             raise ValueError(f"unknown boundary tags {sorted(unknown)}")
 
-        ne, nE, nv = mesh.n_elements, mesh.n_edges, mesh.n_vertices
+        nE, nv = mesh.n_edges, mesh.n_vertices
 
         # minimum rule: conforming degree per edge
         self.p_conf = np.full(nE, np.iinfo(np.int64).max)
@@ -88,52 +93,53 @@ class DofHandler:
             [[0], np.cumsum(bubble_counts)])
         self.n_full = int(self.bubble_offset[-1])
 
-        self.l2g = []
-        self.signs = []
-        for k in range(ne):
-            p = self.degrees[k]
-            g = np.full(n_local(p), -1, dtype=np.int64)
-            s = np.ones(n_local(p))
-            g[:3] = mesh.elements[k]
+        # a local edge running against its global edge (lower to higher
+        # vertex id) flips the sign of its odd modes
+        first = mesh.elements[:, [a for a, _ in EDGE_VERTICES]]
+        reversed_edge = first != mesh.edges[mesh.elem_edges, 0]
+        self.groups = {}
+        self.row = np.empty(mesh.n_elements, dtype=np.int64)
+        for p in np.unique(self.degrees).tolist():
+            ids = np.nonzero(self.degrees == p)[0]
+            self.row[ids] = np.arange(ids.size)
+            l2g = np.full((ids.size, n_local(p)), -1, dtype=np.int64)
+            signs = np.ones((ids.size, n_local(p)))
+            l2g[:, :3] = mesh.elements[ids]
             if p >= 2:
+                e = mesh.elem_edges[ids][:, :, None]
+                kk = np.arange(2, p + 1)
+                present = kk <= self.p_conf[e]
+                odd_flip = reversed_edge[ids][:, :, None] & (kk % 2 == 1)
                 idx = edge_mode_indices(p)
-                for l in range(3):
-                    e = mesh.elem_edges[k, l]
-                    a = mesh.elements[k, EDGE_VERTICES[l][0]]
-                    reversed_edge = a != mesh.edges[e, 0]
-                    for kk in range(2, p + 1):
-                        if kk <= self.p_conf[e]:
-                            g[idx[l, kk - 2]] = self.edge_offset[e] + kk - 2
-                            if reversed_edge and kk % 2 == 1:
-                                s[idx[l, kk - 2]] = -1.0
-            nb = bubble_counts[k]
-            if nb:
-                g[bubble_indices(p)] = self.bubble_offset[k] + np.arange(nb)
-            self.l2g.append(g)
-            self.signs.append(s)
+                l2g[:, idx] = np.where(present, self.edge_offset[e] + kk - 2,
+                                       -1)
+                signs[:, idx] = np.where(present,
+                                         np.where(odd_flip, -1.0, 1.0), 0.0)
+            bi = bubble_indices(p)
+            l2g[:, bi] = self.bubble_offset[ids][:, None] + np.arange(bi.size)
+            self.groups[p] = (ids, l2g, signs)
 
-        # Dirichlet constraints
+        # Dirichlet constraints: vertex and edge dofs of Dirichlet edges
+        dirichlet = mesh.edge_kinds(self.dirichlet_tags) == 1
         free = np.ones(self.n_full, dtype=bool)
-        kinds = mesh.edge_kinds(self.dirichlet_tags)
-        for e in np.nonzero(kinds == 1)[0]:
-            free[mesh.edges[e]] = False
-            free[self.edge_offset[e]:self.edge_offset[e + 1]] = False
+        free[mesh.edges[dirichlet].ravel()] = False
+        free[nv:self.edge_offset[-1]] &= ~np.repeat(dirichlet, edge_counts)
         self.free_mask = free
         self.free_to_full = np.nonzero(free)[0]
         self.full_to_free = np.full(self.n_full, -1, dtype=np.int64)
         self.full_to_free[self.free_to_full] = np.arange(self.free_to_full.size)
         self.n_dofs = int(self.free_to_full.size)
 
-        self.groups = {}
-        for p in np.unique(self.degrees):
-            self.groups[int(p)] = np.nonzero(self.degrees == p)[0]
+    def gather(self, coeffs, p, rows=slice(None)):
+        """Signed local coefficients of the degree-p group (or its rows).
 
-    def group_l2g(self, p):
-        """Stacked l2g and signs for all elements of degree p."""
-        ids = self.groups[p]
-        g = np.stack([self.l2g[k] for k in ids])
-        s = np.stack([self.signs[k] for k in ids])
-        return ids, g, s
+        coeffs has shape (n_full,) or (n_full, m); returns
+        (n, n_local(p)) or (n, n_local(p), m), zero on absent modes.
+        """
+        _, l2g, signs = self.groups[p]
+        local = np.asarray(coeffs)[np.maximum(l2g[rows], 0)]
+        s = signs[rows]
+        return local * (s if local.ndim == 2 else s[:, :, None])
 
     def expand(self, reduced):
         reduced = np.asarray(reduced)
@@ -144,22 +150,6 @@ class DofHandler:
     def restrict(self, full):
         return np.asarray(full)[self.free_to_full]
 
-    def local_coeffs(self, coeffs, elems):
-        """Local coefficient arrays (signed) for the given elements.
-
-        coeffs has shape (n_full,) or (n_full, m).  Returns a list of
-        arrays, one per element.
-        """
-        coeffs = np.asarray(coeffs)
-        out = []
-        for k in elems:
-            g = self.l2g[k]
-            c = np.where((g >= 0)[:, None] if coeffs.ndim == 2 else g >= 0,
-                         coeffs[np.maximum(g, 0)], 0.0)
-            s = self.signs[k]
-            out.append(c * (s[:, None] if coeffs.ndim == 2 else s))
-        return out
-
     def evaluate(self, coeffs, elems, ref_pts, deriv=0):
         """Evaluate a coefficient vector on elements at reference points.
 
@@ -168,18 +158,19 @@ class DofHandler:
         """
         elems = np.asarray(elems, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=float)
-        maps = self.mesh.maps()
+        Jinv = self.mesh.maps()["Jinv"]
         npts = np.asarray(ref_pts).shape[0]
         out = np.zeros((elems.size, npts) if deriv == 0
                        else (elems.size, npts, 2))
-        local = self.local_coeffs(coeffs, elems)
-        for i, k in enumerate(elems):
-            sh = tri_shapes(int(self.degrees[k]), ref_pts, nderiv=deriv)
+        for p in np.unique(self.degrees[elems]).tolist():
+            sel = np.nonzero(self.degrees[elems] == p)[0]
+            local = self.gather(coeffs, p, self.row[elems[sel]])
+            sh = tri_shapes(p, ref_pts, nderiv=deriv)
             if deriv == 0:
-                out[i] = sh["val"] @ local[i]
+                out[sel] = local @ sh["val"].T
             else:
-                g = np.einsum("qld,l->qd", sh["grad"], local[i])
-                out[i] = g @ maps["Jinv"][k]
+                out[sel] = np.einsum("qld,kl,kde->kqe", sh["grad"], local,
+                                     Jinv[elems[sel]])
         return out
 
     def interpolate(self, f):
@@ -187,43 +178,46 @@ class DofHandler:
 
         Vertex values are interpolated; edge and interior modes are
         L2 projections of the remaining residual, so any f already in
-        the space is reproduced exactly.
+        the space is reproduced exactly.  f maps points (n, 2) to (n,).
         """
         mesh = self.mesh
         coeffs = np.zeros(self.n_full)
         coeffs[:mesh.n_vertices] = f(mesh.vertices)
 
-        for e in range(mesh.n_edges):
-            nmodes = self.p_conf[e] - 1
-            if nmodes < 1:
-                continue
-            a, b = mesh.edges[e]
+        for p in np.unique(self.p_conf[self.p_conf >= 2]).tolist():
+            es = np.nonzero(self.p_conf == p)[0]
+            a, b = mesh.edges[es, 0], mesh.edges[es, 1]
+            chol, t, w, E = _edge_gram(p)
             va, vb = mesh.vertices[a], mesh.vertices[b]
-            chol, t, w, E = _edge_gram(nmodes, int(self.p_conf[e]))
-            pts = va[None, :] + t[:, None] * (vb - va)[None, :]
-            resid = f(pts) - (coeffs[a] * (1 - t) + coeffs[b] * t)
-            rhs = E.T @ (w * resid)
-            coeffs[self.edge_offset[e]:self.edge_offset[e] + nmodes] = \
-                scipy.linalg.cho_solve(chol, rhs)
+            pts = va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
+            resid = (f(pts.reshape(-1, 2)).reshape(es.size, t.size)
+                     - coeffs[a][:, None] * (1 - t) - coeffs[b][:, None] * t)
+            sol = scipy.linalg.cho_solve(chol, E.T @ (w[:, None] * resid.T))
+            coeffs[self.edge_offset[es][:, None] + np.arange(p - 1)] = sol.T
 
-        maps = self.mesh.maps()
-        for k in range(mesh.n_elements):
-            p = int(self.degrees[k])
+        maps = mesh.maps()
+        for p, (ids, l2g, signs) in self.groups.items():
             if p < 3:
                 continue
-            pts, w = triangle_rule(2 * p)
-            phys = maps["origin"][k] + pts @ maps["J"][k].T
-            V = tri_shapes(p, pts, nderiv=0)["val"]
-            g = self.l2g[k]
-            s = self.signs[k]
-            edge_part = np.where(g >= 0, coeffs[np.maximum(g, 0)], 0.0) * s
+            ker = reference_kernels(p)
+            phys = maps["origin"][ids, None, :] + np.einsum(
+                "kab,qb->kqa", maps["J"][ids], ker["pts"])
             bi = bubble_indices(p)
-            edge_part[bi] = 0.0
-            resid = f(phys) - V @ edge_part
-            rhs = V.T @ (w * resid)
-            d = scipy.linalg.cho_solve(_ref_mass(p), rhs)
-            coeffs[g[bi]] = d[bi] * s[bi]
+            edge_part = self.gather(coeffs, p)
+            edge_part[:, bi] = 0.0
+            resid = (f(phys.reshape(-1, 2)).reshape(ids.size, -1)
+                     - edge_part @ ker["V"].T)
+            d = _ref_projection(p, ker["V"].T @ (ker["w"][:, None] * resid.T))
+            coeffs[l2g[:, bi]] = d[bi].T * signs[:, bi]
         return coeffs
+
+
+def _copy_blocks(dst, dst_start, src, src_start, counts):
+    """dst[dst_start[i] + j] = src[src_start[i] + j] for j < counts[i]."""
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+    dst[np.repeat(dst_start, counts) + within] = \
+        src[np.repeat(src_start, counts) + within]
 
 
 def transfer(old, new, coeffs):
@@ -243,9 +237,8 @@ def transfer(old, new, coeffs):
     squeeze = coeffs.ndim == 1
     if squeeze:
         coeffs = coeffs[:, None]
-    m = coeffs.shape[1]
     mo, mn = old.mesh, new.mesh
-    out = np.zeros((new.n_full, m))
+    out = np.zeros((new.n_full, coeffs.shape[1]))
 
     # a reused mesh object keeps the parent array of its own creation,
     # so identity is the right element map in that case
@@ -257,48 +250,45 @@ def transfer(old, new, coeffs):
     # vertex values survive by hierarchy
     out[:mo.n_vertices] = coeffs[:mo.n_vertices]
 
-    # surviving edges keep their trace coefficients
-    for key, e_new in mn._edge_index.items():
-        e_old = mo._edge_index.get(key)
-        if e_old is None:
-            continue
-        n_old = old.p_conf[e_old] - 1
-        if n_old < 1:
-            continue
-        out[new.edge_offset[e_new]:new.edge_offset[e_new] + n_old] = \
-            coeffs[old.edge_offset[e_old]:old.edge_offset[e_old] + n_old]
-
-    maps_new = mn.maps()
-    maps_old = mo.maps()
-    same = np.zeros(mn.n_elements, dtype=bool)
-    for k in range(mn.n_elements):
-        same[k] = np.array_equal(mn.elements[k], mo.elements[parent[k]])
+    # surviving edges keep their trace coefficients; edges are sorted
+    # vertex pairs over preserved vertex ids, so one code per pair
+    # matches them
+    code = np.array([mn.n_vertices, 1])
+    _, e_new, e_old = np.intersect1d(mn.edges @ code, mo.edges @ code,
+                                     assume_unique=True, return_indices=True)
+    _copy_blocks(out, new.edge_offset[e_new], coeffs, old.edge_offset[e_old],
+                 np.diff(old.edge_offset)[e_old])
 
     # unrefined elements: bubble blocks embed by the degree-prefix layout
-    for k in np.nonzero(same)[0]:
-        kp = parent[k]
-        nb_old = (old.degrees[kp] - 1) * (old.degrees[kp] - 2) // 2
-        if nb_old:
-            out[new.bubble_offset[k]:new.bubble_offset[k] + nb_old] = \
-                coeffs[old.bubble_offset[kp]:old.bubble_offset[kp] + nb_old]
+    same = np.all(mn.elements == mo.elements[parent], axis=1)
+    kept = np.nonzero(same)[0]
+    _copy_blocks(out, new.bubble_offset[kept], coeffs,
+                 old.bubble_offset[parent[kept]],
+                 np.diff(old.bubble_offset)[parent[kept]])
 
     # refined elements: local L2 projection of the parent function, which
     # lies in the child's local space, so the projection is exact
-    for k in np.nonzero(~same)[0]:
-        kp = int(parent[k])
-        p_new = int(new.degrees[k])
-        p_old = int(old.degrees[kp])
-        pts, w = triangle_rule(2 * p_new)
-        phys = maps_new["origin"][k] + pts @ maps_new["J"][k].T
-        ref_old = (phys - maps_old["origin"][kp]) @ maps_old["Jinv"][kp].T
-        g_old = old.l2g[kp]
-        loc_old = np.where((g_old >= 0)[:, None], coeffs[np.maximum(g_old, 0)], 0.0)
-        loc_old *= old.signs[kp][:, None]
-        vals = tri_shapes(p_old, ref_old, nderiv=0)["val"] @ loc_old
-        V = tri_shapes(p_new, pts, nderiv=0)["val"]
-        d = scipy.linalg.cho_solve(_ref_mass(p_new), V.T @ (w[:, None] * vals))
-        g_new = new.l2g[k]
-        ok = g_new >= 0
-        out[g_new[ok]] = d[ok] * new.signs[k][ok, None]
+    split = np.nonzero(~same)[0]
+    p_old, p_new = old.degrees[parent[split]], new.degrees[split]
+    maps_new, maps_old = mn.maps(), mo.maps()
+    for po, pn in sorted(set(zip(p_old.tolist(), p_new.tolist()))):
+        ks = split[(p_old == po) & (p_new == pn)]
+        kp = parent[ks]
+        ker = reference_kernels(pn)
+        phys = maps_new["origin"][ks, None, :] + np.einsum(
+            "kab,qb->kqa", maps_new["J"][ks], ker["pts"])
+        ref_old = np.einsum("kab,kqb->kqa", maps_old["Jinv"][kp],
+                            phys - maps_old["origin"][kp, None, :])
+        V_old = tri_shapes(po, ref_old.reshape(-1, 2), nderiv=0)["val"]
+        V_old = V_old.reshape(ks.size, -1, n_local(po))
+        vals = np.einsum("kql,klm->kqm", V_old,
+                         old.gather(coeffs, po, old.row[kp]))
+        rhs = np.einsum("ql,q,kqm->lkm", ker["V"], ker["w"], vals)
+        d = _ref_projection(pn, rhs.reshape(rhs.shape[0], -1))
+        d = d.reshape(rhs.shape).transpose(1, 0, 2)
+        _, l2g, signs = new.groups[pn]
+        g, s = l2g[new.row[ks]], signs[new.row[ks]]
+        ok = g >= 0
+        out[g[ok]] = d[ok] * s[ok][:, None]
 
     return out[:, 0] if squeeze else out

@@ -8,9 +8,10 @@ from hpeig.adaptivity import (AdaptConfig, adapt_loop, decide_refinements,
                               estimate_analyticity, mark_fixed_fraction,
                               smooth_degrees)
 from hpeig.assembly import Coefficients
-from hpeig.basis import dubiner, dubiner_degrees
+from hpeig.basis import dubiner, dubiner_degrees, tri_shapes
 from hpeig.estimator import IndicatorField
-from hpeig.mesh import Mesh, slit_square_grid, square_grid
+from hpeig.mesh import Mesh, refine, slit_square_grid, square_grid
+from hpeig.quadrature import triangle_rule
 from hpeig.space import DofHandler
 
 
@@ -70,6 +71,55 @@ def test_analyticity_separates_smooth_from_singular():
     assert s_smooth > s_singular
     assert s_smooth >= 1.0
     assert s_singular < 1.0
+
+
+def polyfit_analyticity(handler, coeffs_full, elems, members):
+    """Decay rates fitted one element at a time with np.polyfit."""
+    sigmas = np.empty(len(elems))
+    for i, (k, mode) in enumerate(zip(elems, members)):
+        p = int(handler.degrees[k])
+        pts, w = triangle_rule(2 * p)
+        V = tri_shapes(p, pts, nderiv=0)["val"]
+        D = dubiner(p, pts)
+        local = handler.gather(coeffs_full[:, mode], p,
+                               [handler.row[k]])[0]
+        coef = D.T @ (w * (V @ local))
+        degs = dubiner_degrees(p)
+        a = np.array([np.linalg.norm(coef[degs == q]) for q in range(p + 1)])
+        q = np.arange(p + 1)
+        keep = a >= 1e-14 * max(a.max(), 1e-300)
+        if p >= 3:
+            keep[0] = False
+        if keep.sum() < 2:
+            sigmas[i] = np.inf
+            continue
+        sigmas[i] = -np.polyfit(q[keep], np.log(a[keep]), 1)[0]
+    return sigmas
+
+
+def test_analyticity_matches_per_element_polyfit():
+    mesh = refine(slit_square_grid(4), [0, 7, 19])
+    rng = np.random.default_rng(11)
+    degrees = rng.integers(1, 9, mesh.n_elements)
+    handler = DofHandler(mesh, degrees, dirichlet_tags=("outer",))
+    # blocks far below the leading one carry roundoff of the projection
+    # that depends on the order of the products, so these fields keep
+    # every block within a few decades: an oscillatory field, a random
+    # space member, and a linear field that is resolved (+inf) at p >= 3
+    fields = np.column_stack([
+        handler.interpolate(lambda x: np.sin(12 * x[:, 0] + 5 * x[:, 1])
+                            * np.cos(9 * x[:, 1])),
+        rng.standard_normal(handler.n_full),
+        handler.interpolate(lambda x: 1.0 + x[:, 0] - 2.0 * x[:, 1]),
+    ])
+    elems = rng.permutation(mesh.n_elements)
+    members = rng.integers(0, 3, elems.size)
+    got = estimate_analyticity(handler, fields, elems, members)
+    want = polyfit_analyticity(handler, fields, elems, members)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.isinf(want).any() and np.isfinite(want).any()
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
 
 
 def _fake_field(handler, scaled_local, included):

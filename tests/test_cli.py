@@ -44,6 +44,15 @@ def test_run_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_m_above_references_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[problem]\nname = slit_square\n\n"
+                                 "[adapt]\nm = 8\n")
+    assert cli.main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path / "x.csv")]) == 2

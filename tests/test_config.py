@@ -129,3 +129,14 @@ name = triangle
 [adapt]
 mode = random
 """))
+
+
+def test_m_above_reference_count_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="reference"):
+        parse_config(write(tmp_path, """
+[problem]
+name = slit_square
+
+[adapt]
+m = 8
+"""))

@@ -1,0 +1,36 @@
+"""The names the benchmark's tracer wraps still resolve in every caller.
+
+perfbench/spans.py patches each TARGETS entry in the namespaces of the
+modules that call it; a rename or a dropped import would make
+`--trace 1` fail or silently stop counting.  This reads TARGETS and
+changes nothing.
+"""
+
+import ast
+import importlib
+import os
+
+import pytest
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "spans.py")
+
+
+def _targets():
+    with open(SPANS) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TARGETS in perfbench/spans.py")
+
+
+@pytest.mark.parametrize("name, home, attr, callers", _targets(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_span_targets_resolve_in_callers(name, home, attr, callers):
+    defined = getattr(importlib.import_module(f"hpeig.{home}"), attr)
+    for caller in callers:
+        module = importlib.import_module(f"hpeig.{caller}")
+        assert getattr(module, attr) is defined, f"{name} in {caller}"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hpeig.basis import (EDGE_VERTICES, bubble_indices, edge_mode_indices,
+                         n_local)
 from hpeig.mesh import refine, slit_square_grid, square_grid
 from hpeig.space import DofHandler, transfer
 
@@ -45,10 +47,80 @@ def test_minimum_rule():
         assert h.p_conf[e] == expect
         assert h.p_edge_max[e] == 4
     # local modes above the conforming degree are absent
-    g = h.l2g[0]
-    absent = np.sum(g < 0)
+    ids, l2g, signs = h.groups[4]
+    assert ids.tolist() == [0] and h.row[0] == 0
+    absent = l2g[0] < 0
     shared = [e for e in mesh.elem_edges[0] if mesh.edge_elems[e, 1] >= 0]
-    assert absent == 2 * len(shared)
+    assert absent.sum() == 2 * len(shared)
+    assert np.all(signs[0][absent] == 0.0)
+
+
+def per_element_l2g(h):
+    """Local-to-global maps and signs built one element at a time."""
+    mesh = h.mesh
+    l2g, signs = [], []
+    for k in range(mesh.n_elements):
+        p = h.degrees[k]
+        g = np.full(n_local(p), -1, dtype=np.int64)
+        s = np.ones(n_local(p))
+        g[:3] = mesh.elements[k]
+        if p >= 2:
+            idx = edge_mode_indices(p)
+            for l in range(3):
+                e = mesh.elem_edges[k, l]
+                a = mesh.elements[k, EDGE_VERTICES[l][0]]
+                for kk in range(2, p + 1):
+                    if kk <= h.p_conf[e]:
+                        g[idx[l, kk - 2]] = h.edge_offset[e] + kk - 2
+                        if a != mesh.edges[e, 0] and kk % 2 == 1:
+                            s[idx[l, kk - 2]] = -1.0
+                    else:
+                        s[idx[l, kk - 2]] = 0.0
+        nb = (p - 1) * (p - 2) // 2
+        if nb:
+            g[bubble_indices(p)] = h.bubble_offset[k] + np.arange(nb)
+        l2g.append(g)
+        signs.append(s)
+    return l2g, signs
+
+
+@pytest.mark.parametrize("tags", [(), ("outer",), ("outer", "slit")])
+def test_groups_match_per_element_reference(tags):
+    mesh = refine(refine(slit_square_grid(4), [0, 5, 9, 20]), [3, 11, 30])
+    h = DofHandler(mesh, mixed_degrees(mesh, 1, 6, seed=5), tags)
+    l2g, signs = per_element_l2g(h)
+    seen = np.zeros(mesh.n_elements, dtype=int)
+    for p, (ids, g, s) in h.groups.items():
+        assert np.all(h.degrees[ids] == p)
+        assert np.array_equal(h.row[ids], np.arange(ids.size))
+        seen[ids] += 1
+        assert g.dtype == np.int64
+        assert np.array_equal(g, np.stack([l2g[k] for k in ids]))
+        assert np.array_equal(s, np.stack([signs[k] for k in ids]))
+    assert np.all(seen == 1)
+    # the Dirichlet mask frees exactly the dofs off Dirichlet edges
+    kinds = mesh.edge_kinds(tags)
+    want = np.ones(h.n_full, dtype=bool)
+    for e in np.nonzero(kinds == 1)[0]:
+        want[mesh.edges[e]] = False
+        want[h.edge_offset[e]:h.edge_offset[e + 1]] = False
+    assert np.array_equal(h.free_mask, want)
+
+
+def test_gather_reads_signed_coefficients():
+    mesh = refine(square_grid(3), [0, 4, 7])
+    h = DofHandler(mesh, mixed_degrees(mesh, 1, 5, seed=8))
+    l2g, signs = per_element_l2g(h)
+    rng = np.random.default_rng(2)
+    coeffs = rng.standard_normal((h.n_full, 3))
+    for p, (ids, _, _) in h.groups.items():
+        want = np.stack([np.where((l2g[k] >= 0)[:, None],
+                                  coeffs[np.maximum(l2g[k], 0)], 0.0)
+                         * signs[k][:, None] for k in ids])
+        assert np.array_equal(h.gather(coeffs, p), want)
+        assert np.array_equal(h.gather(coeffs[:, 1], p), want[:, :, 1])
+        rows = np.arange(ids.size)[::-2]
+        assert np.array_equal(h.gather(coeffs, p, rows), want[rows])
 
 
 def test_continuity_across_interior_edges():
