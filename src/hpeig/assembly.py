@@ -39,6 +39,8 @@ class Coefficients:
             A = A[None, :, :]
         self.A = A
         self.c = np.atleast_1d(np.asarray(c, dtype=float))
+        if not (np.isfinite(self.A).all() and np.isfinite(self.c).all()):
+            raise ValueError("A and c must be finite")
         for i, Ai in enumerate(self.A):
             if not np.allclose(Ai, Ai.T, atol=1e-14):
                 raise ValueError(f"A[{i}] is not symmetric")

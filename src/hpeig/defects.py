@@ -5,7 +5,10 @@ generalized eigenvalues of the pair (E, G), where E collects energy
 inner products of solution errors u(field_i) - uhat(field_i) and G the
 energies of the exact solutions.  The exact solution operator is
 replaced by a fine surrogate space: one uniform bisection of the mesh
-with every degree raised by two.
+with every degree raised by two.  Both stiffness solves here (the
+fine surrogate and the coarse identity check) factor with SuperLU under
+the one symmetric positive definite setting, eigensolve.SPD_LU:
+symmetric minimum-degree ordering and no pivoting.
 
 In the discrete space itself the solution with an eigenpair source is
 the eigenvector divided by its eigenvalue, so the surrogate defect of
@@ -24,6 +27,7 @@ import scipy.linalg
 from scipy.sparse.linalg import splu
 
 from .assembly import assemble_load, assemble_stiffness
+from .eigensolve import SPD_LU
 from .mesh import uniform_refine
 from .space import DofHandler, transfer
 
@@ -95,7 +99,7 @@ def defect_report(handler, co, values, vectors, refine_mesh=True,
     Bf = assemble_stiffness(fine, co)
     P = prolong(handler, fine, vectors)
     loads = assemble_load(fine, fine.expand(P))
-    W = splu(Bf.tocsc()).solve(loads)
+    W = splu(Bf.tocsc(), **SPD_LU).solve(loads)
     D = W - P / values[None, :]
     E = D.T @ (Bf @ D)
     E = 0.5 * (E + E.T)
@@ -163,7 +167,7 @@ def oracle_checks(handler, co, values, vectors, refs=None, next_value=None):
     checks = []
     B = assemble_stiffness(handler, co)
     loads = assemble_load(handler, handler.expand(vectors))
-    back = splu(B.tocsc()).solve(loads)
+    back = splu(B.tocsc(), **SPD_LU).solve(loads)
     resid = np.linalg.norm(back - vectors / np.asarray(values)[None, :])
     scale = np.linalg.norm(back)
     checks.append({"name": "discrete_solution_identity",

@@ -7,6 +7,14 @@ A negative shift keeps the factorization definite when B itself is only
 semidefinite (pure Neumann problems).  ARPACK needs more unknowns than
 pairs plus one, so only smaller pencils go to a dense solver.
 
+Every matrix hpeig factors is symmetric positive definite, and SPD_LU
+is the one SuperLU setting for all of them: a minimum-degree ordering
+of A^T + A applied symmetrically, with no pivoting (George and Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981).
+It sets relax=1: with SuperLU's default relaxed supernodes the
+16,192-dof p = 2 slit_square stiffness took 0.70 s to factor into 3.8 M
+entries, against 0.05 s and 0.67 M with relax=1.
+
 ARPACK's Ritz estimates bound the residual of the inverted operator,
 not the relative residual of the pencil that `tol` limits, so ARPACK is
 asked for tol / 100 and the returned pairs are checked against tol.
@@ -18,6 +26,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+          "relax": 1, "options": {"SymmetricMode": True}}
+
 
 class SolverError(RuntimeError):
     """Eigenvalue iteration failed to converge."""
@@ -27,12 +38,14 @@ class SolverError(RuntimeError):
 class EigenCluster:
     """Lowest eigenpairs, ascending; vectors are M-orthonormal columns.
 
-    iterations counts the solves with the factored operator (0 if dense).
+    iterations counts the solves with the factored operator and fill
+    the entries stored in its L and U factors (both 0 if dense).
     """
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     iterations: int
+    fill: int
 
 
 def _residuals(B, M, values, vectors):
@@ -72,14 +85,15 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
         values, vectors = scipy.linalg.eigh(B.toarray(), M.toarray(),
                                             subset_by_index=[0, m - 1])
         return EigenCluster(values, vectors,
-                            _residuals(B, M, values, vectors), 0)
+                            _residuals(B, M, values, vectors), 0, 0)
 
     rng = np.random.default_rng(seed)
     if x0 is None:
         v0 = rng.standard_normal(n)
     else:
         v0 = np.asarray(x0, dtype=float).reshape(n, -1).sum(axis=1)
-    F = scipy.sparse.linalg.splu((B - shift * M).tocsc())
+    A = B if shift == 0 else B - shift * M
+    F = scipy.sparse.linalg.splu(A.tocsc(), **SPD_LU)
     solves = 0
 
     def inverse(b):
@@ -101,4 +115,4 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
     if res.max() > tol:
         raise SolverError(f"residual {res.max():.2e} above tolerance "
                           f"{tol:.0e} after {solves} solves")
-    return EigenCluster(theta, X, res, solves)
+    return EigenCluster(theta, X, res, solves, F.nnz)

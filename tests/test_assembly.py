@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hpeig.assembly import (
     Coefficients,
@@ -92,3 +94,17 @@ def test_coefficients_validation():
     h = DofHandler(mesh, 1)
     with pytest.raises(ValueError):
         assemble_stiffness(h, Coefficients(c=[1.0, 2.0]))
+
+
+@given(data=st.data(), regions=st.integers(1, 4))
+def test_coefficients_reject_nonfinite(data, regions):
+    diag = st.floats(1.0, 10.0)
+    A = np.array([np.diag([data.draw(diag), data.draw(diag)])
+                  for _ in range(regions)])
+    c = np.array([data.draw(st.floats(0.0, 10.0)) for _ in range(regions)])
+    flat = np.concatenate([A.ravel(), c])
+    for i in data.draw(st.lists(st.integers(0, flat.size - 1), min_size=1,
+                                unique=True)):
+        flat[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        Coefficients(A=flat[:A.size].reshape(A.shape), c=flat[A.size:])

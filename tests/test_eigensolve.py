@@ -6,8 +6,10 @@ import scipy.sparse.linalg
 
 import hpeig.cli as cli
 from hpeig.assembly import Coefficients, assemble_mass, assemble_stiffness
-from hpeig.eigensolve import SolverError, solve_lowest
+from hpeig.defects import fine_handler
+from hpeig.eigensolve import SPD_LU, SolverError, solve_lowest
 from hpeig.mesh import square_grid, uniform_refine
+from hpeig.problems import problem
 from hpeig.space import DofHandler
 
 
@@ -29,7 +31,7 @@ def dense_reference(B, M, m):
 def test_arpack_matches_dense():
     B, M = random_pencil(300)
     got = solve_lowest(B, M, 6, seed=1)
-    assert got.iterations > 0
+    assert got.iterations > 0 and got.fill > 0
     ref_vals, _ = dense_reference(B, M, 6)
     assert np.max(np.abs(got.values / ref_vals - 1.0)) <= 1e-12
     G = got.vectors.T @ (M @ got.vectors)
@@ -44,7 +46,7 @@ def test_dense_path_only_below_arpack_limit():
     for n, m in ((1, 1), (4, 3), (5, 4)):
         B, M = random_pencil(n, seed=3)
         got = solve_lowest(B, M, m)
-        assert got.iterations == 0
+        assert got.iterations == 0 and got.fill == 0
         ref_vals, _ = dense_reference(B, M, m)
         assert np.allclose(got.values, ref_vals, rtol=1e-12)
     B, M = random_pencil(6, seed=3)
@@ -71,10 +73,35 @@ def test_neumann_zero_mode_with_negative_shift():
     h = DofHandler(mesh, 2)
     B = assemble_stiffness(h, Coefficients())
     M = assemble_mass(h)
-    got = solve_lowest(B, M, 4, shift=-1.0, seed=0)
+    got = solve_lowest(B, M, 4, shift=-1.0, seed=0)  # factors B + M
+    assert got.fill > 0
     exact = np.pi**2 * np.array([0.0, 1.0, 1.0, 2.0])
     assert abs(got.values[0]) < 1e-8
     assert np.max(np.abs(got.values[1:] / exact[1:] - 1.0)) < 2e-3
+
+
+def oracle_surrogate_stiffness():
+    spec = problem("square_dirichlet")
+    h = DofHandler(spec.mesh(6), 3, spec.dirichlet_tags)
+    return assemble_stiffness(fine_handler(h), spec.coefficients).tocsc()
+
+
+def test_spd_factorization_fill():
+    B = oracle_surrogate_stiffness()
+    assert B.shape[0] == 1741
+    default = scipy.sparse.linalg.splu(B)
+    spd = scipy.sparse.linalg.splu(B, **SPD_LU)
+    # fill is deterministic: 86 k entries against 341 k with the defaults
+    assert 3 * spd.nnz <= default.nnz
+
+
+def test_spd_factorization_solves():
+    B = oracle_surrogate_stiffness()
+    F = scipy.sparse.linalg.splu(B, **SPD_LU)
+    b = np.random.default_rng(0).standard_normal((B.shape[0], 4))
+    x = F.solve(b)
+    rel = np.linalg.norm(B @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+    assert rel.max() <= 1e-13
 
 
 def test_warm_start_reduces_iterations():

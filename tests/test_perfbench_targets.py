@@ -11,6 +11,7 @@ import importlib
 import os
 
 import pytest
+import scipy.sparse.linalg
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "spans.py")
@@ -34,3 +35,13 @@ def test_span_targets_resolve_in_callers(name, home, attr, callers):
     for caller in callers:
         module = importlib.import_module(f"hpeig.{caller}")
         assert getattr(module, attr) is defined, f"{name} in {caller}"
+
+
+def test_superlu_names_stay_traceable():
+    # install() wraps defects.splu and scipy.sparse.linalg.splu, which
+    # eigensolve looks up at call time; a module-level splu binding in
+    # eigensolve would escape the wrapper
+    defects = importlib.import_module("hpeig.defects")
+    eigensolve = importlib.import_module("hpeig.eigensolve")
+    assert defects.splu is scipy.sparse.linalg.splu
+    assert not hasattr(eigensolve, "splu")
