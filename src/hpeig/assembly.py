@@ -78,6 +78,11 @@ def reference_kernels(p):
     return {"pts": pts, "w": w, "V": V, "G": G, "H": H, "S": S, "M": M}
 
 
+def pulled_back_diffusion(Jinv, A):
+    """Jinv A Jinv^T per element: A pulled back to the reference element."""
+    return np.einsum("kab,kbc,kdc->kad", Jinv, A, Jinv)
+
+
 def _scatter(handler, build_local):
     """Assemble a symmetric bilinear form given per-group local matrices."""
     rows, cols, vals = [], [], []
@@ -108,9 +113,8 @@ def assemble_stiffness(handler, coeffs):
     def build(p, ids, maps):
         ker = reference_kernels(p)
         detJ = maps["detJ"][ids]
-        Jinv = maps["Jinv"][ids]
-        C = detJ[:, None, None] * np.einsum(
-            "kab,kbc,kdc->kad", Jinv, A_el[ids], Jinv)
+        C = detJ[:, None, None] * pulled_back_diffusion(maps["Jinv"][ids],
+                                                        A_el[ids])
         loc = np.einsum("kab,abij->kij", C, ker["S"])
         loc += (c_el[ids] * detJ)[:, None, None] * ker["M"][None]
         return loc

@@ -12,16 +12,21 @@ with R = value * field - c * field + A : Hess(field) on K and r the
 jump of the conormal flux A grad(field) . n (single-sided on Neumann
 edges, zero on Dirichlet edges).  p_e is the larger adjacent degree.
 
+Quadrature points are fixed on the reference element and its edges, so
+both terms are reference tables times local coefficients: one product
+per degree group, or per (degree, local edge, orientation) for edges.
+
 Totals are correctly rounded sums (math.fsum), so they do not depend
 on element order and reruns or renumberings cannot perturb marking.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import reference_kernels
+from .assembly import pulled_back_diffusion, reference_kernels
 from .basis import tri_shapes
 from .mesh import LOCAL_EDGES
 from .quadrature import interval_rule
@@ -30,7 +35,8 @@ from .quadrature import interval_rule
 # Neumann problems; value-scaled sums skip them
 ZERO_MODE_TOL = 1e-8
 
-_CHUNK = 4096
+# outward normals of the reference edges, LOCAL_EDGES order, times length
+_REF_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass
@@ -66,16 +72,32 @@ def element_residual_norms(handler, coeffs_full, values, co):
     out = np.zeros((mesh.n_elements, m))
     for p, (ids, _, _) in handler.groups.items():
         ker = reference_kernels(p)
-        U = handler.gather(coeffs_full, p)
-        Jinv = maps["Jinv"][ids]
-        W = np.einsum("kab,kbc,kdc->kad", Jinv, A_el[ids], Jinv)
-        wvec = np.stack([W[:, 0, 0], 2.0 * W[:, 0, 1], W[:, 1, 1]], axis=1)
-        u = np.einsum("ql,klm->kqm", ker["V"], U)
-        lap = np.einsum("kc,qlc,klm->kqm", wvec, ker["H"], U)
-        R = (values[None, None, :] - c_el[ids, None, None]) * u + lap
-        out[ids] = maps["detJ"][ids, None] * np.einsum("q,kqm->km", ker["w"],
-                                                        R**2)
+        # rows: values, then the Hessian components (xx, xy, yy)
+        table = np.concatenate([ker["V"], *np.moveaxis(ker["H"], 2, 0)])
+        U = np.moveaxis(handler.gather(coeffs_full, p), 1, 0)
+        Q = (table @ U.reshape(len(U), -1)).reshape(4, -1, ids.size, m)
+        W = pulled_back_diffusion(maps["Jinv"][ids], A_el[ids])
+        R = (values - c_el[ids, None]) * Q[0] + W[:, 0, 0, None] * Q[1] \
+            + 2.0 * W[:, 0, 1, None] * Q[2] + W[:, 1, 1, None] * Q[3]
+        out[ids] = maps["detJ"][ids, None] * np.tensordot(ker["w"], R**2, 1)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_gradients(p_max):
+    """Degree-p_max gradients at the interval_rule(2 p_max + 2) edge points.
+
+    Entry [l, o] is the (2 nq, nl) table of the x then y derivatives on
+    local edge l, its points running from the edge's first local vertex
+    to its second (o = 0) or back (o = 1).  The basis is hierarchical,
+    so the first n_local(p) columns are the table of degree p.
+    """
+    s, _ = interval_rule(2 * p_max + 2)
+    ends = np.eye(3)[:, 1:][[(e, e[::-1]) for e in LOCAL_EDGES]]
+    pts = ends[..., :1, :] * (1.0 - s)[:, None] + ends[..., 1:, :] * s[:, None]
+    grad = tri_shapes(p_max, pts.reshape(-1, 2), nderiv=1)["grad"]
+    return np.moveaxis(grad.reshape(3, 2, s.size, -1, 2), 4, 2).reshape(
+        3, 2, 2 * s.size, -1)
 
 
 def edge_jump_norms(handler, coeffs_full, co, kinds):
@@ -83,67 +105,41 @@ def edge_jump_norms(handler, coeffs_full, co, kinds):
 
     Interior edges carry the two-sided jump, Neumann edges the
     single-sided flux, Dirichlet edges zero.  Both sides are evaluated
-    at shared physical points on the lower-to-higher vertex
-    parametrization of each edge.
+    at the points of interval_rule(2 max degree + 2) running from the
+    lower to the higher global vertex, read off _edge_gradients.
     """
     mesh = handler.mesh
     m = coeffs_full.shape[1]
     A_el, _ = co.on_elements(mesh)
     maps = mesh.maps()
-    Jinv, origin = maps["Jinv"], maps["origin"]
+    p_max = int(handler.degrees.max())
+    _, wq = interval_rule(2 * p_max + 2)
+    tables = _edge_gradients(p_max)
 
-    sq, wq = interval_rule(2 * int(handler.degrees.max()) + 2)
-    nq = sq.size
-    ev = mesh.vertices[mesh.edges]
-    pts_edge = ev[:, None, 0, :] * (1.0 - sq)[None, :, None] \
-        + ev[:, None, 1, :] * sq[None, :, None]
+    # pulled-back conormal of each local edge: Jinv A n = detJ W n_ref / |e|
+    W = pulled_back_diffusion(maps["Jinv"], A_el)
+    scale = maps["detJ"][:, None] / mesh.edge_length[mesh.elem_edges]
+    qvec = np.einsum("kab,lb->kla", W, _REF_NORMALS) * scale[..., None]
+    first, second = np.array(LOCAL_EDGES).T
+    orient = mesh.elements[:, first] > mesh.elements[:, second]
+    # column of each element side in edge_elems; Dirichlet sides are skipped
+    slot = (mesh.edge_elems[mesh.elem_edges, 1]
+            == np.arange(mesh.n_elements)[:, None]).astype(np.int64)
+    on = kinds[mesh.elem_edges] != 1
 
-    active = kinds != 1
-    jump = np.zeros((mesh.n_edges, nq, m))
-    local_a = np.array([e[0] for e in LOCAL_EDGES])
-    local_b = np.array([e[1] for e in LOCAL_EDGES])
-
-    for p in handler.groups:
-        U_all = handler.gather(coeffs_full, p)
-        sides_e, sides_k, sides_l = [], [], []
-        for side in range(2):
-            on = (mesh.edge_elems[:, side] >= 0) & active
-            ks = mesh.edge_elems[on, side]
-            sel = handler.degrees[ks] == p
-            sides_e.append(np.nonzero(on)[0][sel])
-            sides_k.append(ks[sel])
-            sides_l.append(mesh.edge_local[on, side][sel])
-        sides_e = np.concatenate(sides_e)
-        sides_k = np.concatenate(sides_k)
-        sides_l = np.concatenate(sides_l)
-        if sides_e.size == 0:
-            continue
-        rows = handler.row[sides_k]
-
-        # outward normal times A, pulled back through the chain rule so
-        # the flux is a fixed contraction with reference gradients
-        va = mesh.vertices[mesh.elements[sides_k, local_a[sides_l]]]
-        vb = mesh.vertices[mesh.elements[sides_k, local_b[sides_l]]]
-        t = vb - va
-        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        an = np.einsum("sab,sb->sa", A_el[sides_k], n)
-        qvec = np.einsum("sab,sb->sa", Jinv[sides_k], an)
-
-        for lo in range(0, sides_e.size, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, sides_e.size))
-            e_c, k_c = sides_e[sl], sides_k[sl]
-            phys = pts_edge[e_c]
-            ref = np.einsum("sqb,sab->sqa", phys - origin[k_c][:, None, :],
-                            Jinv[k_c])
-            sh = tri_shapes(p, ref.reshape(-1, 2), nderiv=1)
-            grads = sh["grad"].reshape(len(e_c), nq, -1, 2)
-            flux = np.einsum("sqla,sa,slm->sqm", grads, qvec[sl], U_all[rows[sl]])
-            np.add.at(jump, e_c, flux)
-
-    norms = mesh.edge_length[:, None] * np.einsum("q,eqm->em", wq, jump**2)
-    norms[~active] = 0.0
-    return norms
+    flux = np.zeros((2, mesh.n_edges, wq.size, m))
+    for p, (ids, _, _) in handler.groups.items():
+        U = np.moveaxis(handler.gather(coeffs_full, p), 1, 0)
+        for l, o in np.ndindex(3, 2):
+            sel = np.nonzero(on[ids, l] & (orient[ids, l] == o))[0]
+            k = ids[sel]
+            V = U[:, sel].reshape(len(U), -1)
+            G = (tables[l, o, :, :len(V)] @ V).reshape(2, wq.size, sel.size, m)
+            q = qvec[k, l]
+            flux[slot[k, l], mesh.elem_edges[k, l]] = np.moveaxis(
+                q[:, 0, None] * G[0] + q[:, 1, None] * G[1], 1, 0)
+    jump = flux[0] + flux[1]
+    return mesh.edge_length[:, None] * np.einsum("q,eqm->em", wq, jump**2)
 
 
 def estimate(handler, coeffs, values, co):
@@ -197,4 +193,4 @@ def total_error(values, refs, included=None):
 def effectivity(field, refs):
     """Ratio of the exact value-weighted error to the estimator total."""
     err = total_error(field.values, refs, field.included)
-    return err / field.total
+    return err / field.total if field.total != 0 else math.nan

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpeig import estimator
-from hpeig.assembly import Coefficients, assemble_mass, assemble_stiffness
+from hpeig.assembly import (Coefficients, assemble_mass, assemble_stiffness,
+                            reference_kernels)
+from hpeig.basis import tri_shapes
 from hpeig.eigensolve import solve_lowest
-from hpeig.mesh import Mesh, square_grid
-from hpeig.quadrature import triangle_rule
+from hpeig.mesh import LOCAL_EDGES, Mesh, refine, square_grid
+from hpeig.problems import problem
+from hpeig.quadrature import interval_rule, triangle_rule
 from hpeig.space import DofHandler
 
 
@@ -238,3 +243,191 @@ def test_total_error_helper():
     assert estimator.total_error(values, refs) == pytest.approx(0.75)
     inc = np.array([False, True])
     assert estimator.total_error(values, refs, inc) == pytest.approx(0.25)
+
+
+def test_effectivity_of_zero_total_is_nan():
+    # a pure Neumann problem with only its zero mode: nothing is
+    # included, the total is 0 and the ratio is undefined
+    mesh = square_grid(2)
+    handler = DofHandler(mesh, 2, dirichlet_tags=())
+    field = estimator.estimate(handler, np.ones((handler.n_dofs, 1)),
+                               np.array([1e-14]), Coefficients())
+    assert field.total == 0.0
+    assert math.isnan(estimator.effectivity(field, [0.0]))
+
+
+# Reference kernels: the per-element einsum versions the table products
+# replaced.  They evaluate edge gradients at physical points mapped back
+# to each element, so they share no table with the code under test.
+
+_CHUNK = 4096
+
+
+def _einsum_residual_norms(handler, coeffs_full, values, co):
+    mesh = handler.mesh
+    values = np.asarray(values, dtype=float)
+    m = coeffs_full.shape[1]
+    A_el, c_el = co.on_elements(mesh)
+    maps = mesh.maps()
+    out = np.zeros((mesh.n_elements, m))
+    for p, (ids, _, _) in handler.groups.items():
+        ker = reference_kernels(p)
+        U = handler.gather(coeffs_full, p)
+        Jinv = maps["Jinv"][ids]
+        W = np.einsum("kab,kbc,kdc->kad", Jinv, A_el[ids], Jinv)
+        wvec = np.stack([W[:, 0, 0], 2.0 * W[:, 0, 1], W[:, 1, 1]], axis=1)
+        u = np.einsum("ql,klm->kqm", ker["V"], U)
+        lap = np.einsum("kc,qlc,klm->kqm", wvec, ker["H"], U)
+        R = (values[None, None, :] - c_el[ids, None, None]) * u + lap
+        out[ids] = maps["detJ"][ids, None] * np.einsum("q,kqm->km", ker["w"],
+                                                        R**2)
+    return out
+
+
+def _einsum_jump_norms(handler, coeffs_full, co, kinds):
+    mesh = handler.mesh
+    m = coeffs_full.shape[1]
+    A_el, _ = co.on_elements(mesh)
+    maps = mesh.maps()
+    Jinv, origin = maps["Jinv"], maps["origin"]
+
+    sq, wq = interval_rule(2 * int(handler.degrees.max()) + 2)
+    nq = sq.size
+    ev = mesh.vertices[mesh.edges]
+    pts_edge = ev[:, None, 0, :] * (1.0 - sq)[None, :, None] \
+        + ev[:, None, 1, :] * sq[None, :, None]
+
+    active = kinds != 1
+    jump = np.zeros((mesh.n_edges, nq, m))
+    local_a = np.array([e[0] for e in LOCAL_EDGES])
+    local_b = np.array([e[1] for e in LOCAL_EDGES])
+
+    for p in handler.groups:
+        U_all = handler.gather(coeffs_full, p)
+        sides_e, sides_k, sides_l = [], [], []
+        for side in range(2):
+            on = (mesh.edge_elems[:, side] >= 0) & active
+            ks = mesh.edge_elems[on, side]
+            sel = handler.degrees[ks] == p
+            sides_e.append(np.nonzero(on)[0][sel])
+            sides_k.append(ks[sel])
+            sides_l.append(mesh.edge_local[on, side][sel])
+        sides_e = np.concatenate(sides_e)
+        sides_k = np.concatenate(sides_k)
+        sides_l = np.concatenate(sides_l)
+        if sides_e.size == 0:
+            continue
+        rows = handler.row[sides_k]
+
+        va = mesh.vertices[mesh.elements[sides_k, local_a[sides_l]]]
+        vb = mesh.vertices[mesh.elements[sides_k, local_b[sides_l]]]
+        t = vb - va
+        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        an = np.einsum("sab,sb->sa", A_el[sides_k], n)
+        qvec = np.einsum("sab,sb->sa", Jinv[sides_k], an)
+
+        for lo in range(0, sides_e.size, _CHUNK):
+            sl = slice(lo, min(lo + _CHUNK, sides_e.size))
+            e_c, k_c = sides_e[sl], sides_k[sl]
+            phys = pts_edge[e_c]
+            ref = np.einsum("sqb,sab->sqa", phys - origin[k_c][:, None, :],
+                            Jinv[k_c])
+            sh = tri_shapes(p, ref.reshape(-1, 2), nderiv=1)
+            grads = sh["grad"].reshape(len(e_c), nq, -1, 2)
+            flux = np.einsum("sqla,sa,slm->sqm", grads, qvec[sl],
+                             U_all[rows[sl]])
+            np.add.at(jump, e_c, flux)
+
+    norms = mesh.edge_length[:, None] * np.einsum("q,eqm->em", wq, jump**2)
+    norms[~active] = 0.0
+    return norms
+
+
+def _refined_slit():
+    spec = problem("slit_square")
+    mesh = spec.mesh(4)
+    for _ in range(2):
+        mesh = refine(mesh, np.nonzero(
+            np.linalg.norm(mesh.centroids() - 0.5, axis=1) < 0.3)[0])
+    degrees = 1 + np.arange(mesh.n_elements) % 10
+    return mesh, degrees, spec.dirichlet_tags, spec.coefficients
+
+
+def _a100_quadrants():
+    spec = problem("diffusion_a100")
+    mesh = spec.mesh(4)
+    degrees = 2 + np.arange(mesh.n_elements) % 3
+    return mesh, degrees, spec.dirichlet_tags, spec.coefficients
+
+
+def _full_tensor():
+    mesh = square_grid(3, region_fn=halves_region)
+    degrees = 1 + np.arange(mesh.n_elements) % 5
+    co = Coefficients(A=[[[2.0, 0.7], [0.7, 1.5]], [[1.0, -0.4], [-0.4, 3.0]]],
+                      c=[0.3, 1.1])
+    return mesh, degrees, (), co
+
+
+@pytest.mark.parametrize("case", [_refined_slit, _a100_quadrants,
+                                  _full_tensor])
+def test_table_products_match_einsum_reference(case):
+    mesh, degrees, dirichlet, co = case()
+    handler = DofHandler(mesh, degrees, dirichlet_tags=dirichlet)
+    rng = np.random.default_rng(3)
+    full = handler.expand(rng.standard_normal((handler.n_dofs, 3)))
+    values = np.array([0.5, 20.0, 75.0])
+    kinds = mesh.edge_kinds(handler.dirichlet_tags)
+    pairs = [
+        (estimator.element_residual_norms(handler, full, values, co),
+         _einsum_residual_norms(handler, full, values, co)),
+        (estimator.edge_jump_norms(handler, full, co, kinds),
+         _einsum_jump_norms(handler, full, co, kinds)),
+    ]
+    for got, want in pairs:
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        np.testing.assert_allclose(got.sum(axis=0), want.sum(axis=0),
+                                   rtol=1e-12, atol=0)
+
+
+def _renumbered(mesh, perm, rot):
+    """The same mesh with elements permuted and their vertices rotated."""
+    cycle = (np.arange(3)[None, :] + rot[:, None]) % 3
+    elements = np.take_along_axis(mesh.elements[perm], cycle, axis=1)
+    return Mesh(mesh.vertices, elements, mesh.boundary_tag_dict(),
+                region=mesh.region[perm])
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       dirichlet=st.booleans())
+def test_estimate_independent_of_element_order(seed, n, dirichlet):
+    rng = np.random.default_rng(seed)
+    mesh = square_grid(n, region_fn=quadrant_region)
+    co = Coefficients(A=[np.eye(2), [[2.0, 0.5], [0.5, 1.0]], 3 * np.eye(2),
+                         [[1.0, -0.3], [-0.3, 2.0]]], c=[0.0, 1.0, 2.0, 0.5])
+    degrees = rng.integers(1, 6, mesh.n_elements)
+    perm = rng.permutation(mesh.n_elements)
+    other = _renumbered(mesh, perm, rng.integers(0, 3, mesh.n_elements))
+    # polynomials of degree <= min(degrees) lie in both spaces
+    d = int(degrees.min())
+    powers = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    c = rng.standard_normal((2, len(powers)))
+    values = np.array([3.0, 40.0])
+    tags = ("boundary",) if dirichlet else ()
+
+    fields = []
+    for msh, deg in ((mesh, degrees), (other, degrees[perm])):
+        handler = DofHandler(msh, deg, dirichlet_tags=tags)
+        cols = [handler.interpolate(
+            lambda x, ci=ci: sum(a * x[:, 0]**i * x[:, 1]**j
+                                 for a, (i, j) in zip(ci, powers)))
+            for ci in c]
+        coeffs = handler.restrict(np.column_stack(cols))
+        fields.append(estimator.estimate(handler, coeffs, values, co))
+    first, second = fields
+    np.testing.assert_allclose(second.mode_totals, first.mode_totals,
+                               rtol=1e-12, atol=0)
+    scale = np.max(np.abs(first.local), axis=0)
+    assert np.all(np.abs(second.local - first.local[perm]) <= 1e-12 * scale)
