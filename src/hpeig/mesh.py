@@ -14,6 +14,18 @@ sides topologically separate through any number of refinements.
 
 Boundary edges carry string tags ("outer", "slit", ...).  Problems map
 tags to boundary conditions; the mesh itself only stores the labels.
+
+Two orderings are part of the result and must be kept:
+- `refine` lists the children of each input element contiguously, in
+  input-element order, and among themselves in the depth-first order of
+  the recursive bisection: the whole subtree of (v2, v0, m) before that
+  of (v1, v2, m).
+- Edges are numbered by first appearance in (element, local edge)
+  order, and `edge_elems` lists the two sides of an edge in that order.
+Dof numbering follows both orders, marking breaks ties between equal
+indicators by element id, and the rounding of every assembled sum
+follows the numbering.  So the byte-identical CSV of a rerun depends on
+them: renumbering elements or edges changes results in the last digits.
 """
 
 import numpy as np
@@ -22,8 +34,47 @@ import numpy as np
 LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
 
 
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
+def _edge_table(elements):
+    """Edge arrays of a triangulation: edges, elem_edges, edge_elems, edge_local.
+
+    Edges are sorted vertex pairs, numbered by first appearance in
+    (element, local edge) order.  edge_elems / edge_local hold the
+    element and local edge of each side of an edge in that same order,
+    -1 in the second column for boundary edges.
+    """
+    sides = np.sort(elements[:, np.array(LOCAL_EDGES)], axis=2).reshape(-1, 2)
+    code = sides[:, 0] * (elements.max(initial=0) + 1) + sides[:, 1]
+    _, first, inverse, count = np.unique(
+        code, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    elem_edges = rank[inverse].reshape(-1, 3)
+    count = count[order]
+    if np.any(count > 2):
+        raise ValueError(f"edge {int(np.argmax(count > 2))} has more than two elements")
+
+    # side slots 3 k + l, grouped by edge and in (k, l) order within one
+    slot_of = np.argsort(elem_edges.ravel(), kind="stable")
+    start = np.cumsum(count) - count
+    slot = np.full((order.size, 2), -1, dtype=np.int64)
+    slot[:, 0] = slot_of[start]
+    two = count == 2
+    slot[two, 1] = slot_of[start[two] + 1]
+    edge_elems = np.where(slot >= 0, slot // 3, -1)
+    edge_local = np.where(slot >= 0, slot % 3, -1)
+    return sides[first[order]], elem_edges, edge_elems, edge_local
+
+
+def _boundary_edges(elements):
+    edges, _, edge_elems, _ = _edge_table(elements)
+    return edges[edge_elems[:, 1] < 0]
+
+
+def _tag_dict(pairs, tags):
+    """boundary_tags dict from (n, 2) vertex pairs and n tags (or one)."""
+    tags = np.broadcast_to(np.asarray(tags), (len(pairs),))
+    return dict(zip(map(tuple, pairs.tolist()), tags.tolist()))
 
 
 class Mesh:
@@ -67,49 +118,27 @@ class Mesh:
             raise ValueError(f"element {bad} is not positively oriented")
         self.area = 0.5 * sign
 
-        # edge table
-        edge_index = {}
-        elem_edges = np.empty((ne, 3), dtype=np.int64)
-        edge_list = []
-        for k in range(ne):
-            tri = self.elements[k]
-            for l, (a, b) in enumerate(LOCAL_EDGES):
-                key = _pair(tri[a], tri[b])
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edge_list)
-                    edge_index[key] = e
-                    edge_list.append(key)
-                elem_edges[k, l] = e
-        self.edges = np.array(edge_list, dtype=np.int64)
-        self.elem_edges = elem_edges
-        nE = len(edge_list)
+        self.edges, self.elem_edges, self.edge_elems, self.edge_local = (
+            _edge_table(self.elements))
 
-        self.edge_elems = np.full((nE, 2), -1, dtype=np.int64)
-        self.edge_local = np.full((nE, 2), -1, dtype=np.int64)
-        for k in range(ne):
-            for l in range(3):
-                e = elem_edges[k, l]
-                if self.edge_elems[e, 0] < 0:
-                    self.edge_elems[e, 0] = k
-                    self.edge_local[e, 0] = l
-                elif self.edge_elems[e, 1] < 0:
-                    self.edge_elems[e, 1] = k
-                    self.edge_local[e, 1] = l
-                else:
-                    raise ValueError(f"edge {e} has more than two elements")
-
-        boundary = self.edge_elems[:, 1] < 0
+        # look every tagged pair up among the edge codes at once
+        keys = list(boundary_tags)
+        pairs = np.sort(np.array(keys, dtype=np.int64).reshape(-1, 2), axis=1)
+        nv = self.n_vertices
+        code = self.edges[:, 0] * nv + self.edges[:, 1]
+        by_code = np.argsort(code)
+        at = np.searchsorted(code, pairs[:, 0] * nv + pairs[:, 1], sorter=by_code)
+        tagged = by_code[np.minimum(at, self.n_edges - 1)]
+        missing = np.any(self.edges[tagged] != pairs, axis=1)
+        if np.any(missing):
+            raise ValueError(f"tagged edge {keys[np.argmax(missing)]} not in mesh")
+        boundary = self.boundary_mask
+        if not np.all(boundary[tagged]):
+            raise ValueError(f"tagged edge {keys[np.argmin(boundary[tagged])]} is interior")
         self.tag_names = sorted(set(boundary_tags.values()))
-        tag_id = {t: i for i, t in enumerate(self.tag_names)}
-        self.edge_tag = np.full(nE, -1, dtype=np.int64)
-        for key, tag in boundary_tags.items():
-            e = edge_index.get(_pair(*key))
-            if e is None:
-                raise ValueError(f"tagged edge {key} not in mesh")
-            if not boundary[e]:
-                raise ValueError(f"tagged edge {key} is interior")
-            self.edge_tag[e] = tag_id[tag]
+        self.edge_tag = np.full(self.n_edges, -1, dtype=np.int64)
+        self.edge_tag[tagged] = np.searchsorted(self.tag_names,
+                                                list(boundary_tags.values()))
         if np.any(boundary & (self.edge_tag < 0)):
             e = int(np.nonzero(boundary & (self.edge_tag < 0))[0][0])
             raise ValueError(f"boundary edge {tuple(self.edges[e])} has no tag")
@@ -170,10 +199,8 @@ class Mesh:
         return kinds
 
     def boundary_tag_dict(self):
-        out = {}
-        for e in np.nonzero(self.boundary_mask)[0]:
-            out[tuple(self.edges[e])] = self.tag_names[self.edge_tag[e]]
-        return out
+        b = self.boundary_mask
+        return _tag_dict(self.edges[b], np.array(self.tag_names)[self.edge_tag[b]])
 
 
 def refine(mesh, marked):
@@ -188,9 +215,15 @@ def refine(mesh, marked):
     -------
     Mesh whose parent array maps each element to the input element it
     descends from (identity where nothing happened).  Vertex ids of the
-    input mesh are preserved.
+    input mesh are preserved.  Raises ValueError unless every marked id
+    is an integer in [0, n_elements).
     """
-    marked = np.asarray(marked, dtype=np.int64)
+    marked = np.asarray(marked)
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise ValueError(f"marked element ids must be integers, got {marked.dtype}")
+    marked = marked.astype(np.int64)
+    if np.any((marked < 0) | (marked >= mesh.n_elements)):
+        raise ValueError(f"marked element ids must lie in [0, {mesh.n_elements})")
     marked_edge = np.zeros(mesh.n_edges, dtype=bool)
     marked_edge[mesh.elem_edges[marked, 2]] = True
 
@@ -203,48 +236,53 @@ def refine(mesh, marked):
         marked_edge[mesh.elem_edges[need, 2]] = True
 
     split_ids = np.nonzero(marked_edge)[0]
-    nv = mesh.n_vertices
     midpoints = 0.5 * (mesh.vertices[mesh.edges[split_ids, 0]]
                        + mesh.vertices[mesh.edges[split_ids, 1]])
-    mids = {}
-    for i, e in enumerate(split_ids):
-        a, b = mesh.edges[e]
-        mids[_pair(a, b)] = nv + i
     vertices = np.vstack([mesh.vertices, midpoints])
+    # midpoint vertex of each input edge, -1 where it stays whole; the
+    # extra last entry answers the id -1 that marks edges made below
+    mid = np.full(mesh.n_edges + 1, -1, dtype=np.int64)
+    mid[split_ids] = mesh.n_vertices + np.arange(split_ids.size)
 
-    new_elems = []
-    new_region = []
-    new_parent = []
-    new_level = []
+    # Bisect one generation at a time.  Only input edges are ever split,
+    # so each element carries the input ids of its three edges (-1 for
+    # new ones) and a path code: doubled every generation, +1 for a
+    # second child, so sorting by it gives the depth-first order.
+    elems, edge_ids = mesh.elements, mesh.elem_edges
+    parent = np.arange(mesh.n_elements)
+    level = mesh.level
+    code = np.zeros(mesh.n_elements, dtype=np.int64)
+    while True:
+        m = mid[edge_ids[:, 2]]
+        split = np.nonzero(m >= 0)[0]
+        if split.size == 0:
+            break
+        stay = np.nonzero(m < 0)[0]
+        v0, v1, v2 = elems[split].T
+        m, e0, e1 = m[split], edge_ids[split, 0], edge_ids[split, 1]
+        new = np.full(split.size, -1)
+        elems = np.concatenate([elems[stay], np.column_stack([v2, v0, m]),
+                                np.column_stack([v1, v2, m])])
+        edge_ids = np.concatenate([edge_ids[stay], np.column_stack([new, new, e1]),
+                                   np.column_stack([new, new, e0])])
+        rows = np.concatenate([stay, split, split])
+        sizes = [stay.size, split.size, split.size]
+        parent, level = parent[rows], level[rows] + np.repeat([0, 1, 1], sizes)
+        code = 2 * code[rows] + np.repeat([0, 0, 1], sizes)
+    order = np.lexsort((code, parent))
+    parent = parent[order]
 
-    def split(v0, v1, v2, lvl, parent_id, region_id):
-        m = mids.get(_pair(v0, v1))
-        if m is None:
-            new_elems.append((v0, v1, v2))
-            new_region.append(region_id)
-            new_parent.append(parent_id)
-            new_level.append(lvl)
-            return
-        split(v2, v0, m, lvl + 1, parent_id, region_id)
-        split(v1, v2, m, lvl + 1, parent_id, region_id)
+    # boundary edges keep their tag, split ones on both halves
+    bnd = np.nonzero(mesh.boundary_mask)[0]
+    a, b = mesh.edges[bnd].T
+    m = mid[bnd]
+    cut = m >= 0
+    pairs = np.concatenate([np.column_stack([a, np.where(cut, m, b)]),
+                            np.column_stack([m, b])[cut]])
+    tags = np.array(mesh.tag_names)[mesh.edge_tag[np.concatenate([bnd, bnd[cut]])]]
 
-    for k in range(mesh.n_elements):
-        v0, v1, v2 = mesh.elements[k]
-        split(v0, v1, v2, int(mesh.level[k]), k, int(mesh.region[k]))
-
-    tags = {}
-    for (a, b), tag in mesh.boundary_tag_dict().items():
-        m = mids.get(_pair(a, b))
-        if m is None:
-            tags[_pair(a, b)] = tag
-        else:
-            tags[_pair(a, m)] = tag
-            tags[_pair(m, b)] = tag
-
-    return Mesh(vertices, np.array(new_elems, dtype=np.int64), tags,
-                region=np.array(new_region, dtype=np.int64),
-                parent=np.array(new_parent, dtype=np.int64),
-                level=np.array(new_level, dtype=np.int64))
+    return Mesh(vertices, elems[order], _tag_dict(pairs, tags),
+                region=mesh.region[parent], parent=parent, level=level[order])
 
 
 def uniform_refine(mesh, times=1):
@@ -276,43 +314,27 @@ def _normalize(vertices, elements):
     return out
 
 
-def square_grid(n, region_fn=None, tag="boundary"):
-    """Right-triangle grid on the unit square, n x n cells, 2 n^2 elements."""
+def _unit_square(n):
+    """Grid vertices of the unit square and two triangles per cell.
+
+    Vertices and cells run row by row from the bottom.  The cell with
+    corners a, b, c, d, counterclockwise from its lower left, gives the
+    triangles (a, b, c) and (a, c, d).
+    """
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
+    a = np.arange(n * (n + 1)).reshape(n, n + 1)[:, :n].ravel()
+    cells = np.column_stack([a, a + 1, a + n + 2, a + n + 1])
+    return np.column_stack([X.ravel(), Y.ravel()]), cells[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
 
-    def vid(i, j):
-        return j * (n + 1) + i
 
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            elements.append((a, b, c))
-            elements.append((a, c, d))
+def square_grid(n, region_fn=None, tag="boundary"):
+    """Right-triangle grid on the unit square, n x n cells, 2 n^2 elements."""
+    vertices, elements = _unit_square(n)
     elements = _normalize(vertices, elements)
-
-    mesh_tmp = Mesh(vertices, elements, _grid_boundary_tags(vertices, elements, tag))
-    region = None
-    if region_fn is not None:
-        region = region_fn(mesh_tmp.centroids())
-    return Mesh(vertices, elements, _grid_boundary_tags(vertices, elements, tag),
+    region = None if region_fn is None else region_fn(vertices[elements].mean(axis=1))
+    return Mesh(vertices, elements, _tag_dict(_boundary_edges(elements), tag),
                 region=region)
-
-
-def _boundary_pairs(elements):
-    count = {}
-    for tri in elements:
-        for a, b in LOCAL_EDGES:
-            key = _pair(tri[a], tri[b])
-            count[key] = count.get(key, 0) + 1
-    return [k for k, c in count.items() if c == 1]
-
-
-def _grid_boundary_tags(vertices, elements, tag):
-    return {key: tag for key in _boundary_pairs(elements)}
 
 
 def slit_square_grid(n):
@@ -325,44 +347,23 @@ def slit_square_grid(n):
     """
     if n % 2:
         raise ValueError("n must be even")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
+    vertices, elements = _unit_square(n)
     half = n // 2
-    dup = {}
-    extra = []
-    for i in range(half + 1, n + 1):
-        dup[vid(i, half)] = vertices.shape[0] + len(extra)
-        extra.append(vertices[vid(i, half)])
-    vertices = np.vstack([vertices, np.array(extra)])
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            for tri in ((a, b, c), (a, c, d)):
-                if j < half:
-                    tri = tuple(dup.get(v, v) for v in tri)
-                elements.append(tri)
+    on_slit = half * (n + 1) + np.arange(half + 1, n + 1)
+    dup = np.arange(vertices.shape[0])
+    dup[on_slit] = vertices.shape[0] + np.arange(on_slit.size)
+    below = slice(0, 2 * n * half)  # the elements of the cell rows below the slit
+    elements[below] = dup[elements[below]]
+    vertices = np.vstack([vertices, vertices[on_slit]])
     elements = _normalize(vertices, elements)
 
-    tags = {}
-    for a, b in _boundary_pairs(elements):
-        mid = 0.5 * (vertices[a] + vertices[b])
-        on_outer = (mid[0] < 1e-12 or mid[0] > 1 - 1e-12
-                    or mid[1] < 1e-12 or mid[1] > 1 - 1e-12)
-        if on_outer:
-            tags[_pair(a, b)] = "outer"
-        elif abs(mid[1] - 0.5) < 1e-12 and mid[0] > 0.5:
-            tags[_pair(a, b)] = "slit"
-        else:
-            raise ValueError(f"unclassified boundary edge at {mid}")
-    return Mesh(vertices, elements, tags)
+    bnd = _boundary_edges(elements)
+    mid = vertices[bnd].mean(axis=1)
+    on_outer = np.any((mid < 1e-12) | (mid > 1 - 1e-12), axis=1)
+    on_slit = (np.abs(mid[:, 1] - 0.5) < 1e-12) & (mid[:, 0] > 0.5)
+    if not np.all(on_outer | on_slit):
+        raise ValueError(f"unclassified boundary edge at {mid[~(on_outer | on_slit)][0]}")
+    return Mesh(vertices, elements, _tag_dict(bnd, np.where(on_outer, "outer", "slit")))
 
 
 def triangle_grid(n, side=2.0, tag="boundary"):
@@ -385,7 +386,7 @@ def triangle_grid(n, side=2.0, tag="boundary"):
             if j < n - i - 1:
                 elements.append((rows[i][j + 1], rows[i + 1][j + 1], rows[i + 1][j]))
     elements = _normalize(vertices, elements)
-    return Mesh(vertices, elements, _grid_boundary_tags(vertices, elements, tag))
+    return Mesh(vertices, elements, _tag_dict(_boundary_edges(elements), tag))
 
 
 def triangle_hole_grid():
@@ -395,25 +396,16 @@ def triangle_hole_grid():
     cell removed; outer boundary tagged "outer", hole boundary "hole".
     """
     full = triangle_grid(4)
-    vertices = full.vertices
     centroid = np.array([1.0, np.sqrt(3.0) / 3.0])
-    cents = full.centroids()
-    keep = np.linalg.norm(cents - centroid, axis=1) > 1e-9
+    keep = np.linalg.norm(full.centroids() - centroid, axis=1) > 1e-9
     elements = full.elements[keep]
-
-    tags = {}
-    for a, b in _boundary_pairs(elements):
-        mid = 0.5 * (vertices[a] + vertices[b])
-        if np.linalg.norm(mid - centroid) < 0.3:
-            tags[_pair(a, b)] = "hole"
-        else:
-            tags[_pair(a, b)] = "outer"
+    bnd = _boundary_edges(elements)
+    near = np.linalg.norm(full.vertices[bnd].mean(axis=1) - centroid, axis=1) < 0.3
     used = np.unique(elements)
-    remap = -np.ones(vertices.shape[0], dtype=np.int64)
+    remap = -np.ones(full.n_vertices, dtype=np.int64)
     remap[used] = np.arange(used.size)
-    elements = remap[elements]
-    tags = {_pair(remap[a], remap[b]): t for (a, b), t in tags.items()}
-    return Mesh(vertices[used], elements, tags)
+    return Mesh(full.vertices[used], remap[elements],
+                _tag_dict(remap[bnd], np.where(near, "hole", "outer")))
 
 
 def build_mesh(geometry, **params):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpeig.mesh import (
+    LOCAL_EDGES,
     Mesh,
     build_mesh,
     refine,
@@ -126,9 +129,172 @@ def test_mesh_validation():
         Mesh(verts, [[0, 2, 1]], {})  # negative orientation
     with pytest.raises(ValueError):
         Mesh(verts, [[0, 1, 2]], {(0, 1): "b"})  # missing tags
+    fan = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="more than two elements"):
+        Mesh(fan, [[0, 1, 2], [0, 1, 3], [0, 1, 4]], {})
+    quad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    outline = {(0, 1): "b", (1, 2): "b", (2, 3): "b", (0, 3): "b"}
+    with pytest.raises(ValueError, match="is interior"):
+        Mesh(quad, [[0, 1, 2], [0, 2, 3]], {**outline, (2, 0): "b"})
+    with pytest.raises(ValueError, match="not in mesh"):
+        Mesh(quad, [[0, 1, 2], [0, 2, 3]], {**outline, (1, 3): "b"})
+
+
+def test_refine_rejects_invalid_marks():
+    m = square_grid(2)
+    for marked in ([-1], [8], [0.7], [True]):
+        with pytest.raises(ValueError):
+            refine(m, marked)
+    assert refine(m, []).n_elements == m.n_elements
 
 
 def test_build_mesh_dispatch():
     assert build_mesh("square", n=2).n_elements == 8
     with pytest.raises(ValueError):
         build_mesh("hexagon")
+
+
+# The edge loops of Mesh.__init__ and the recursive refine as they were
+# before both became array operations; the property below holds the
+# array code to them element for element.
+
+def _pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def reference_edge_table(elements, boundary_tags):
+    ne = len(elements)
+    edge_index = {}
+    elem_edges = np.empty((ne, 3), dtype=np.int64)
+    edge_list = []
+    for k in range(ne):
+        tri = elements[k]
+        for l, (a, b) in enumerate(LOCAL_EDGES):
+            key = _pair(tri[a], tri[b])
+            e = edge_index.get(key)
+            if e is None:
+                e = len(edge_list)
+                edge_index[key] = e
+                edge_list.append(key)
+            elem_edges[k, l] = e
+    nE = len(edge_list)
+
+    edge_elems = np.full((nE, 2), -1, dtype=np.int64)
+    edge_local = np.full((nE, 2), -1, dtype=np.int64)
+    for k in range(ne):
+        for l in range(3):
+            e = elem_edges[k, l]
+            if edge_elems[e, 0] < 0:
+                edge_elems[e, 0] = k
+                edge_local[e, 0] = l
+            elif edge_elems[e, 1] < 0:
+                edge_elems[e, 1] = k
+                edge_local[e, 1] = l
+            else:
+                raise ValueError(f"edge {e} has more than two elements")
+
+    tag_names = sorted(set(boundary_tags.values()))
+    edge_tag = np.full(nE, -1, dtype=np.int64)
+    for key, tag in boundary_tags.items():
+        edge_tag[edge_index[_pair(*key)]] = tag_names.index(tag)
+    return {"edges": np.array(edge_list, dtype=np.int64), "elem_edges": elem_edges,
+            "edge_elems": edge_elems, "edge_local": edge_local,
+            "edge_tag": edge_tag, "tag_names": tag_names}
+
+
+def reference_refine(mesh, marked):
+    marked = np.asarray(marked, dtype=np.int64)
+    marked_edge = np.zeros(mesh.n_edges, dtype=bool)
+    marked_edge[mesh.elem_edges[marked, 2]] = True
+    while True:
+        has_marked = marked_edge[mesh.elem_edges].any(axis=1)
+        need = has_marked & ~marked_edge[mesh.elem_edges[:, 2]]
+        if not np.any(need):
+            break
+        marked_edge[mesh.elem_edges[need, 2]] = True
+
+    split_ids = np.nonzero(marked_edge)[0]
+    nv = mesh.n_vertices
+    midpoints = 0.5 * (mesh.vertices[mesh.edges[split_ids, 0]]
+                       + mesh.vertices[mesh.edges[split_ids, 1]])
+    mids = {}
+    for i, e in enumerate(split_ids):
+        a, b = mesh.edges[e]
+        mids[_pair(a, b)] = nv + i
+
+    new_elems, new_region, new_parent, new_level = [], [], [], []
+
+    def split(v0, v1, v2, lvl, parent_id, region_id):
+        m = mids.get(_pair(v0, v1))
+        if m is None:
+            new_elems.append((v0, v1, v2))
+            new_region.append(region_id)
+            new_parent.append(parent_id)
+            new_level.append(lvl)
+            return
+        split(v2, v0, m, lvl + 1, parent_id, region_id)
+        split(v1, v2, m, lvl + 1, parent_id, region_id)
+
+    for k in range(mesh.n_elements):
+        v0, v1, v2 = mesh.elements[k]
+        split(v0, v1, v2, int(mesh.level[k]), k, int(mesh.region[k]))
+
+    tags = {}
+    for (a, b), tag in mesh.boundary_tag_dict().items():
+        m = mids.get(_pair(a, b))
+        if m is None:
+            tags[_pair(a, b)] = tag
+        else:
+            tags[_pair(a, m)] = tag
+            tags[_pair(m, b)] = tag
+    return {"vertices": np.vstack([mesh.vertices, midpoints]),
+            "elements": np.array(new_elems, dtype=np.int64),
+            "region": np.array(new_region, dtype=np.int64),
+            "parent": np.array(new_parent, dtype=np.int64),
+            "level": np.array(new_level, dtype=np.int64), "tags": tags}
+
+
+BASE_MESHES = {
+    "slit_square": lambda: slit_square_grid(4),
+    "triangle_hole": triangle_hole_grid,
+    "two_regions": lambda: square_grid(
+        3, region_fn=lambda c: (c[:, 0] > 0.5).astype(np.int64)),
+    "triangle": lambda: triangle_grid(3),
+}
+
+
+def assert_tables_match(mesh, boundary_tags):
+    want = reference_edge_table(mesh.elements, boundary_tags)
+    for name, value in want.items():
+        if name == "tag_names":
+            assert mesh.tag_names == value
+        else:
+            np.testing.assert_array_equal(getattr(mesh, name), value, err_msg=name)
+
+
+@settings(max_examples=40)
+@given(base=st.sampled_from(sorted(BASE_MESHES)), data=st.data())
+def test_refine_matches_reference(base, data):
+    mesh = BASE_MESHES[base]()
+    assert_tables_match(mesh, mesh.boundary_tag_dict())
+    if base == "two_regions":
+        assert set(mesh.region) == {0, 1}
+    for _ in range(4):
+        marked = data.draw(st.lists(st.integers(0, mesh.n_elements - 1), max_size=6))
+        want = reference_refine(mesh, marked)
+        fine = refine(mesh, marked)
+        for name in ("vertices", "elements", "parent", "level", "region"):
+            np.testing.assert_array_equal(getattr(fine, name), want[name], err_msg=name)
+        assert_tables_match(fine, want["tags"])
+
+        v = fine.vertices[fine.elements]
+        d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
+        lvl = fine.level - mesh.level[fine.parent]
+        np.testing.assert_allclose(fine.area, mesh.area[fine.parent] / 2.0**lvl,
+                                   rtol=1e-12, atol=0)
+        for tag in mesh.tag_names:
+            np.testing.assert_allclose(fine.edge_length[fine.edges_with_tag(tag)].sum(),
+                                       mesh.edge_length[mesh.edges_with_tag(tag)].sum(),
+                                       rtol=1e-13)
+        mesh = fine

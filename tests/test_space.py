@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpeig.basis import (EDGE_VERTICES, bubble_indices, edge_mode_indices,
                          n_local)
@@ -175,17 +177,20 @@ def test_interpolate_reproduces_space_members():
         assert np.max(np.abs(got - f(phys))) < 1e-11
 
 
-def test_transfer_is_exact_on_refinement():
-    mesh = square_grid(2)
-    degrees = mixed_degrees(mesh, 2, 4, seed=3)
+@settings(max_examples=30)
+@given(coarse=st.sampled_from(["square", "slit_square"]), data=st.data())
+def test_transfer_is_exact_on_refinement(coarse, data):
+    mesh = square_grid(2) if coarse == "square" else slit_square_grid(2)
+    ne = mesh.n_elements
+    degrees = np.array(data.draw(st.lists(st.integers(1, 4), min_size=ne, max_size=ne)))
     h = DofHandler(mesh, degrees)
     rng = np.random.default_rng(4)
     coeffs = h.expand(rng.standard_normal(h.n_dofs))
 
-    fine = refine(mesh, [0, 2, 5])
-    fine_degrees = degrees[fine.parent].copy()
-    fine_degrees[::3] += 1
-    hf = DofHandler(fine, fine_degrees)
+    fine = refine(mesh, data.draw(st.lists(st.integers(0, ne - 1), max_size=ne)))
+    raise_by = data.draw(st.lists(st.integers(0, 2), min_size=fine.n_elements,
+                                  max_size=fine.n_elements))
+    hf = DofHandler(fine, degrees[fine.parent] + raise_by)
     out = transfer(h, hf, coeffs)
 
     pts = rng.dirichlet(np.ones(3), size=12)[:, 1:]
