@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_mass, assemble_stiffness
-from .basis import dubiner, dubiner_degrees, tri_shapes
+from .assembly import assemble_mass, assemble_stiffness, reference_kernels
+# tri_shapes is no longer called here, but perfbench/spans.py still wraps
+# it in this namespace
+from .basis import dubiner_degrees, tri_shapes  # noqa: F401
 from .eigensolve import solve_lowest
 from .estimator import estimate
 from .mesh import refine
-from .quadrature import triangle_rule
 from .space import DofHandler, transfer
 
 H_REFINE = "h"
@@ -95,11 +96,10 @@ def estimate_analyticity(handler, coeffs_full, elems, members):
     sigmas = np.empty(elems.size)
     for p in np.unique(handler.degrees[elems]).tolist():
         sel = np.nonzero(handler.degrees[elems] == p)[0]
-        pts, w = triangle_rule(2 * p)
-        V = tri_shapes(p, pts, nderiv=0)["val"]
+        ker = reference_kernels(p)
         local = handler.gather(coeffs_full, p, handler.row[elems[sel]])
         local = local[np.arange(sel.size), :, members[sel]]
-        coef = (local @ V.T * w) @ dubiner(p, pts)
+        coef = (local @ ker["V"].T * ker["w"]) @ ker["D"]
         q = np.arange(p + 1)
         a = np.sqrt(coef**2 @ (dubiner_degrees(p)[:, None] == q))
         keep = a >= 1e-14 * np.maximum(a.max(axis=1, keepdims=True), 1e-300)

@@ -20,7 +20,7 @@ import functools
 import numpy as np
 import scipy.sparse
 
-from .basis import tri_shapes
+from .basis import dubiner, tri_shapes
 from .quadrature import triangle_rule
 
 
@@ -65,17 +65,19 @@ def reference_kernels(p):
 
     Returns dict with quadrature (pts, w) exact to degree 2p, value
     table V (nq, nl), gradient tables G (nq, nl, 2), hessian table
-    H (nq, nl, 3), stiffness blocks S (2, 2, nl, nl) and mass
-    M (nl, nl).  Assembly reads S, M and V; the estimator's interior
-    residual reads V and H; interpolation and transfer project with
-    V and M.
+    H (nq, nl, 3), stiffness blocks S (2, 2, nl, nl), mass M (nl, nl)
+    and the orthonormal modal table D (nq, nl).  Assembly reads S, M
+    and V; the estimator's interior residual reads V and H;
+    interpolation and transfer project with V and M; the hp decision
+    projects onto the modal basis with V, w and D.
     """
     pts, w = triangle_rule(2 * p)
     sh = tri_shapes(p, pts, nderiv=2)
     V, G, H = sh["val"], sh["grad"], sh["hess"]
     S = np.einsum("qia,q,qjb->abij", G, w, G)
     M = (V * w[:, None]).T @ V
-    return {"pts": pts, "w": w, "V": V, "G": G, "H": H, "S": S, "M": M}
+    return {"pts": pts, "w": w, "V": V, "G": G, "H": H, "S": S, "M": M,
+            "D": dubiner(p, pts)}
 
 
 def pulled_back_diffusion(Jinv, A):

@@ -108,6 +108,9 @@ class Mesh:
                        else np.asarray(parent, dtype=np.int64))
         self.level = (np.zeros(ne, dtype=np.int64) if level is None
                       else np.asarray(level, dtype=np.int64))
+        for name in ("region", "parent", "level"):
+            if getattr(self, name).shape != (ne,):
+                raise ValueError(f"{name} needs one entry per element ({ne})")
 
         v = self.vertices[self.elements]
         d1 = v[:, 1] - v[:, 0]

@@ -5,19 +5,51 @@ triangle, slit disk via Bessel roots), high-accuracy published values
 (slit square, reaction and diffusion problems, triangle with hole), and
 cross-checks between the two where both exist.
 
-Bessel functions of fractional order are evaluated by the ascending
-series.  In double precision the alternating terms near x = 60 grow to
-about 1e23 before cancelling down to order one, so the series is summed
-in 50-digit working precision and rounded once at the end.
+Bessel functions of fractional order come from the ascending series
+J_nu(x) = x^nu P(x^2), P(t) = sum_s c_s t^s (DLMF 10.2.2).  Its terms
+near x = 60 grow to about 1e23 before cancelling down to order one, so
+the table of c_s is built once per order in 50-digit precision, one
+Horner pass in t gives P and P', hence J_nu' = x^(nu-1) (nu P + 2 t P')
+for Newton's method on the roots, and results are rounded once.
 """
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
 
 _DPS = 50
+_MP = mp.MPContext()  # private 50-digit context: no precision state shared
+_MP.dps = _DPS
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficients(nu):
+    """c_s = (-1)^s / (2^nu 4^s s! Gamma(s + nu + 1)) and log10 |c_s / c_0|, x <= 60."""
+    nu = _MP.mpf(nu)
+    c, lg = [1 / (2**nu * _MP.gamma(nu + 1))], [0.0]
+    # past s = 30 the terms at x = 60 decrease; stop below the 50-digit floor
+    while len(c) <= 30 or lg[-1] + (len(c) - 1) * math.log10(3600.0) >= -_DPS:
+        s = len(c)
+        c.append(-c[-1] / (4 * s * (s + nu)))
+        lg.append(lg[-1] - math.log10(4 * s * float(s + nu)))
+    return c, np.array(lg)
+
+
+def _series(nu, x):
+    """(P, P') at t = x^2, 0 < x <= 60, to the first term past s = x/2 below 1e-50 c_0."""
+    c, lg = _coefficients(nu)
+    s = np.arange(lg.size)
+    n = int(np.argmax((lg + s * (2 * math.log10(x)) < -_DPS) & (2 * s >= float(x))))
+    t = _MP.mpf(x) ** 2
+    p, dp = c[n - 1], 0
+    for ck in reversed(c[:n - 1]):
+        dp = dp * t + p
+        p = p * t + ck
+    return p, dp
 
 
 def bessel_j(nu, x):
@@ -30,25 +62,9 @@ def bessel_j(nu, x):
         raise ValueError("order must be >= -1/2")
     if not 0.0 <= x <= 60.0:
         raise ValueError("argument outside validated range [0, 60]")
-    return float(_bessel_mp(mp.mpf(nu), mp.mpf(x)))
-
-
-def _bessel_mp(nu, x):
-    with mp.workdps(_DPS):
-        if x == 0:
-            return mp.mpf(0) if nu > 0 else mp.mpf(1)
-        half = x / 2
-        term = half**nu / mp.gamma(nu + 1)
-        total = term
-        s = 0
-        while True:
-            s += 1
-            term *= -(half * half) / (s * (s + nu))
-            total += term
-            if abs(term) < mp.mpf("1e-40") * max(abs(total), mp.mpf("1e-30")) and 2 * s > x:
-                return total
-            if s > 400:
-                raise RuntimeError("Bessel series failed to terminate")
+    if x == 0:
+        return 0.0 if nu > 0 else 1.0
+    return float(_MP.mpf(x) ** nu * _series(nu, x)[0])
 
 
 def _scan_roots(nu):
@@ -56,34 +72,44 @@ def _scan_roots(nu):
 
     For nu >= -1/2 the first root lies above 1.5 and consecutive roots
     are more than 3 apart, so a sign scan with unit step from x = 1
-    brackets each root alone.  Each bracket is refined with the Illinois
-    variant of regula falsi on the same 50-digit series.
+    brackets each root alone.  Each iterate in a bracket first shrinks
+    it by its sign, then takes the Newton step J/J' = z P / (nu P +
+    2 z^2 P'), or bisects if that step leaves the bracket.  A step below
+    1e-20, above the 1e-26 series noise at x = 60, ends the iteration.
     """
-    nu_mp = mp.mpf(nu)
-    f = lambda x: _bessel_mp(nu_mp, x)
-    x, f_prev = 1, f(mp.mpf(1))
+    x, p_prev = 1, _series(nu, 1)[0]
     while x < 60:
-        f_next = f(mp.mpf(x + 1))
-        if f_prev * f_next < 0:
-            with mp.workdps(_DPS):  # not held across the yield
-                root = mp.findroot(f, (mp.mpf(x), mp.mpf(x + 1)),
-                                   solver="illinois", tol=1e-20)
-            yield float(root)
-        x, f_prev = x + 1, f_next
+        p_next = _series(nu, x + 1)[0]
+        if p_prev * p_next < 0:
+            a, b = _MP.mpf(x), _MP.mpf(x + 1)
+            z = (a + b) / 2
+            for _ in range(100):
+                p, dp = _series(nu, z)
+                a, b = (z, b) if (p > 0) == (p_prev > 0) else (a, z)
+                step = z * p / (nu * p + 2 * z * z * dp)
+                if not a < z - step < b:
+                    step = z - (a + b) / 2
+                z -= step
+                if abs(step) < 1e-20:
+                    break
+            else:
+                raise RuntimeError(f"no convergence to the root of J_{nu} in ({x}, {x + 1})")
+            yield float(z)
+        x, p_prev = x + 1, p_next
 
 
 _ROOTS = {}  # order -> (roots found so far, generator of the rest)
 
 
 def bessel_root(nu, m):
-    """m-th positive root of J_nu, for nu in [-1/2, 5], m <= 10.
+    """m-th positive root of J_nu, for nu in [-1/2, 5], integer m in 1..10.
 
     Each order is scanned once; its roots are cached as they are found.
     """
     if not -0.5 <= nu <= 5.0:
         raise ValueError("order outside [-1/2, 5]")
-    if not 1 <= m <= 10:
-        raise ValueError("root index must be in 1..10")
+    if not isinstance(m, numbers.Integral) or not 1 <= m <= 10:
+        raise ValueError("root index must be an integer in 1..10")
     roots, rest = _ROOTS.setdefault(nu, ([], _scan_roots(nu)))
     while len(roots) < m:
         root = next(rest, None)
@@ -112,11 +138,6 @@ def triangle_dirichlet(m, n):
     if m < 1 or n < 1:
         raise ValueError("indices start at 1")
     return 16.0 * math.pi**2 / 9.0 * (m * m + m * n + n * n)
-
-
-def _sorted_family(gen, count):
-    vals = sorted(gen)
-    return vals[:count]
 
 
 @dataclass
@@ -166,7 +187,7 @@ def slit_disk_values(count):
         raise ValueError("enumeration window supports at most 8 values")
     fam = [bessel_root((2 * k - 1) / 4.0, m) ** 2
            for k in range(1, 9) for m in range(1, 5)]
-    return _sorted_family(fam, count)
+    return sorted(fam)[:count]
 
 
 def _exact(vals_mults):
@@ -177,60 +198,41 @@ def _exact(vals_mults):
 def registry(name):
     """Reference spectrum for a benchmark key; raises on unknown names."""
     table = {
-        "square_dirichlet": ReferenceSpectrum(
-            "square_dirichlet",
-            _exact([(square_dirichlet(1, 1), 1), (square_dirichlet(1, 2), 2),
-                    (square_dirichlet(2, 2), 1), (square_dirichlet(1, 3), 2)])),
-        "square_neumann": ReferenceSpectrum(
-            "square_neumann",
-            _exact([(0.0, 1), (square_neumann(0, 1), 2),
-                    (square_neumann(1, 1), 1), (square_neumann(0, 2), 2)])),
-        "triangle": ReferenceSpectrum(
-            "triangle",
-            _exact([(triangle_dirichlet(1, 1), 1), (triangle_dirichlet(1, 2), 2),
-                    (triangle_dirichlet(2, 2), 1), (triangle_dirichlet(1, 3), 2)])),
-        "triangle_hole": ReferenceSpectrum(
-            "triangle_hole",
-            [(40.4650426, 1, 1e-6, "published"),
-             (43.4868466, 2, 1e-6, "published")]),
-        "reaction_kappa10": ReferenceSpectrum(
-            "reaction_kappa10",
-            [(4.150242455, 1, 1e-8, "published"),
-             (10.706070962, 1, 1e-8, "published"),
-             (18.779725462, 1, 1e-8, "published"),
-             (25.150325247, 1, 1e-8, "published")]),
-        "reaction_kappa100": ReferenceSpectrum(
-            "reaction_kappa100",
-            [(13.210576406, 1, 1e-8, "published"),
-             (13.990033964, 1, 1e-8, "published"),
-             (60.294151672, 1, 1e-8, "published"),
-             (64.840268299, 1, 1e-8, "published")]),
-        "diffusion_a10": ReferenceSpectrum(
-            "diffusion_a10",
-            [(64.226529416, 1, 1e-8, "published"),
-             (75.028156269, 1, 1e-8, "published"),
-             (141.161506328, 1, 1e-8, "published")]),
-        "diffusion_a100": ReferenceSpectrum(
-            "diffusion_a100",
-            [(77.800981966, 1, 1e-8, "published"),
-             (78.564198245, 1, 1e-8, "published"),
-             (193.916538067, 1, 1e-8, "published")]),
-        "slit_square": ReferenceSpectrum(
-            "slit_square",
-            [(20.739208802, 1, 1e-8, "published"),
-             (34.485320, 1, 1e-5, "published"),
-             (50.348022005, 1, 1e-8, "published"),
-             (67.581165196, 1, 1e-8, "published")]),
-        "slit_disk": ReferenceSpectrum(
-            "slit_disk",
-            [(float(v), 1, 1e-13, "published") for v in SLIT_DISK_TABLE]),
-        "slit_circle_second": ReferenceSpectrum(
-            "slit_circle_second",
-            [(float(SLIT_CIRCLE_SECOND), 1, 1e-15, "published")]),
+        "square_dirichlet": _exact(
+            [(square_dirichlet(1, 1), 1), (square_dirichlet(1, 2), 2),
+             (square_dirichlet(2, 2), 1), (square_dirichlet(1, 3), 2)]),
+        "square_neumann": _exact(
+            [(0.0, 1), (square_neumann(0, 1), 2),
+             (square_neumann(1, 1), 1), (square_neumann(0, 2), 2)]),
+        "triangle": _exact(
+            [(triangle_dirichlet(1, 1), 1), (triangle_dirichlet(1, 2), 2),
+             (triangle_dirichlet(2, 2), 1), (triangle_dirichlet(1, 3), 2)]),
+        "triangle_hole": [(40.4650426, 1, 1e-6, "published"),
+                          (43.4868466, 2, 1e-6, "published")],
+        "reaction_kappa10": [(4.150242455, 1, 1e-8, "published"),
+                             (10.706070962, 1, 1e-8, "published"),
+                             (18.779725462, 1, 1e-8, "published"),
+                             (25.150325247, 1, 1e-8, "published")],
+        "reaction_kappa100": [(13.210576406, 1, 1e-8, "published"),
+                              (13.990033964, 1, 1e-8, "published"),
+                              (60.294151672, 1, 1e-8, "published"),
+                              (64.840268299, 1, 1e-8, "published")],
+        "diffusion_a10": [(64.226529416, 1, 1e-8, "published"),
+                          (75.028156269, 1, 1e-8, "published"),
+                          (141.161506328, 1, 1e-8, "published")],
+        "diffusion_a100": [(77.800981966, 1, 1e-8, "published"),
+                           (78.564198245, 1, 1e-8, "published"),
+                           (193.916538067, 1, 1e-8, "published")],
+        "slit_square": [(20.739208802, 1, 1e-8, "published"),
+                        (34.485320, 1, 1e-5, "published"),
+                        (50.348022005, 1, 1e-8, "published"),
+                        (67.581165196, 1, 1e-8, "published")],
+        "slit_disk": [(float(v), 1, 1e-13, "published") for v in SLIT_DISK_TABLE],
+        "slit_circle_second": [(float(SLIT_CIRCLE_SECOND), 1, 1e-15, "published")],
     }
     if name not in table:
         raise KeyError(f"no reference spectrum named {name!r}")
-    return table[name]
+    return ReferenceSpectrum(name, table[name])
 
 
 def verify_references():
@@ -272,14 +274,12 @@ def verify_references():
         2 * math.pi**2, 1e-14)
     add("triangle_first", registry("triangle").flat(1)[0][0],
         16 * math.pi**2 / 3, 1e-14)
-    tri = _sorted_family(
-        (triangle_dirichlet(m, n) for m in range(1, 11) for n in range(1, 11)), 6)
+    tri = sorted(triangle_dirichlet(m, n) for m in range(1, 11) for n in range(1, 11))[:6]
     want, _ = registry("triangle").flat(6)
     enum_err = max(abs(a - b) / b for a, b in zip(tri, want))
     checks.append({"name": "triangle_enumeration", "got": enum_err, "want": 0.0,
                    "tol": 1e-14, "ok": enum_err <= 1e-14})
-    sq = _sorted_family(
-        (square_dirichlet(i, j) for i in range(1, 11) for j in range(1, 11)), 6)
+    sq = sorted(square_dirichlet(i, j) for i in range(1, 11) for j in range(1, 11))[:6]
     want, _ = registry("square_dirichlet").flat(6)
     enum_err = max(abs(a - b) / b for a, b in zip(sq, want))
     checks.append({"name": "square_enumeration", "got": enum_err, "want": 0.0,

@@ -138,6 +138,11 @@ def test_mesh_validation():
         Mesh(quad, [[0, 1, 2], [0, 2, 3]], {**outline, (2, 0): "b"})
     with pytest.raises(ValueError, match="not in mesh"):
         Mesh(quad, [[0, 1, 2], [0, 2, 3]], {**outline, (1, 3): "b"})
+    for name in ("region", "parent", "level"):
+        with pytest.raises(ValueError, match=name):
+            Mesh(quad, [[0, 1, 2], [0, 2, 3]], outline, **{name: [0]})
+    with pytest.raises(ValueError, match="region"):
+        square_grid(2, region_fn=lambda c: np.array([1]))
 
 
 def test_refine_rejects_invalid_marks():

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpeig import spectra
 
@@ -68,6 +70,39 @@ def test_bessel_roots_fractional_orders_against_scipy():
         spectra.bessel_root(5.5, 1)
     with pytest.raises(ValueError):
         spectra.bessel_root(1.0, 11)
+    with pytest.raises(ValueError, match="integer"):
+        spectra.bessel_root(1.0, 2.5)
+
+
+def test_series_derivative_against_mpmath():
+    # J' = x^(nu-1) (nu P + 2 x^2 P') from the same Horner pass as J
+    for nu in (-0.5, -0.25, 0.0, 0.5, 1.0, 1.75, 3.25, 5.0):
+        for x in np.linspace(1.0, 60.0, 24):
+            x = float(x)
+            p, dp = spectra._series(nu, x)
+            got = mpmath.mpf(x) ** (nu - 1) * (nu * p + 2 * x * x * dp)
+            with mpmath.workdps(30):
+                want = mpmath.besselj(nu, x, derivative=1)
+            assert abs(got - want) <= 1e-13 * abs(want), (nu, x)
+
+
+def mpmath_zero(nu, m):
+    """m-th positive zero of J_nu from mpmath's own finder and evaluator."""
+    if nu >= 0:
+        return float(mpmath.besseljzero(mpmath.mpf(nu), m))
+    # besseljzero takes nu >= 0; for -1 < nu < 0 the zeros of J_nu
+    # interlace with those of J_{nu+1} (DLMF 10.21.3)
+    lo = float(mpmath.besseljzero(mpmath.mpf(nu + 1), m - 1)) if m > 1 else 0.5
+    hi = float(mpmath.besseljzero(mpmath.mpf(nu + 1), m))
+    with mpmath.workdps(30):
+        return float(mpmath.findroot(lambda x: mpmath.besselj(nu, x), (lo, hi),
+                                     solver="anderson"))
+
+
+@settings(max_examples=12)
+@given(k=st.integers(-2, 20), m=st.integers(1, 10))
+def test_bessel_roots_match_mpmath_zeros(k, m):
+    assert spectra.bessel_root(k / 4.0, m) == pytest.approx(mpmath_zero(k / 4.0, m), rel=1e-14)
 
 
 def test_slit_disk_roots_against_mpmath():
