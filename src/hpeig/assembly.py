@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse
 
 from .basis import dubiner, tri_shapes
+from .mesh import CHILD_POSITIONS
 from .quadrature import triangle_rule
 
 
@@ -65,19 +66,32 @@ def reference_kernels(p):
 
     Returns dict with quadrature (pts, w) exact to degree 2p, value
     table V (nq, nl), gradient tables G (nq, nl, 2), hessian table
-    H (nq, nl, 3), stiffness blocks S (2, 2, nl, nl), mass M (nl, nl)
-    and the orthonormal modal table D (nq, nl).  Assembly reads S, M
-    and V; the estimator's interior residual reads V and H;
-    interpolation and transfer project with V and M; the hp decision
-    projects onto the modal basis with V, w and D.
+    H (nq, nl, 3), stiffness blocks S (2, 2, nl, nl), mass M (nl, nl),
+    the orthonormal modal table D (nq, nl), the L2 projector
+    P = M^-1 V^T W (nl, nq) and the child tables C (6, nl, nl):
+    C[i] = P V(images of pts in mesh.CHILD_POSITIONS[i]) maps a
+    degree-p function on a parent to its coefficients on that child.
+    Assembly reads S, M and V; the estimator's interior residual reads
+    V and H; interpolation projects with V and P; transfer reads C,
+    whose leading n_local(q) columns serve a degree-q parent; the hp
+    decision projects onto the modal basis with V, w and D.
     """
     pts, w = triangle_rule(2 * p)
     sh = tri_shapes(p, pts, nderiv=2)
     V, G, H = sh["val"], sh["grad"], sh["hess"]
     S = np.einsum("qia,q,qjb->abij", G, w, G)
     M = (V * w[:, None]).T @ V
+    # least squares on W^(1/2) V: the condition number of M, 4e13 at
+    # p = 12, enters only through its square root
+    sw = np.sqrt(w)
+    P = np.linalg.lstsq(V * sw[:, None], np.diag(sw), rcond=None)[0]
+    corner = CHILD_POSITIONS[:, :1]
+    images = corner + np.einsum("qb,iba->iqa", pts,
+                                CHILD_POSITIONS[:, 1:] - corner)
+    V_child = tri_shapes(p, images.reshape(-1, 2), nderiv=0)["val"]
+    C = P @ V_child.reshape(6, pts.shape[0], -1)
     return {"pts": pts, "w": w, "V": V, "G": G, "H": H, "S": S, "M": M,
-            "D": dubiner(p, pts)}
+            "D": dubiner(p, pts), "P": P, "C": C}
 
 
 def pulled_back_diffusion(Jinv, A):

@@ -59,22 +59,20 @@ def layout(p):
     return tuple(modes)
 
 
+def _indices(p, kind):
+    return np.array([i for i, m in enumerate(layout(p)) if m[0] == kind],
+                    dtype=np.int64)
+
+
 @functools.lru_cache(maxsize=None)
 def edge_mode_indices(p):
     """Local indices of edge modes: array (3, p-1), entry [l, k-2]."""
-    idx = np.zeros((3, max(p - 1, 0)), dtype=np.int64)
-    for i, mode in enumerate(layout(p)):
-        if mode[0] == "e":
-            _, l, k = mode
-            idx[l, k - 2] = i
-    return idx
+    return _indices(p, "e").reshape(-1, 3).T
 
 
 @functools.lru_cache(maxsize=None)
 def bubble_indices(p):
-    return np.array(
-        [i for i, m in enumerate(layout(p)) if m[0] == "b"], dtype=np.int64
-    )
+    return _indices(p, "b")
 
 
 def legendre_table(x, n, nderiv=1):
@@ -103,15 +101,9 @@ def kernel_table(x, jmax, nderiv=0):
 
     Returns shape (nderiv+1, jmax+1, len(x)).  psi_j has degree j.
     """
-    x = np.asarray(x, dtype=float)
-    P = legendre_table(x, jmax + 1, nderiv=nderiv + 1)
-    K = np.zeros((nderiv + 1, jmax + 1, x.shape[0]))
-    for j in range(jmax + 1):
-        k = j + 2
-        scale = -4.0 * np.sqrt((2 * k - 1) / 2.0) / ((k - 1) * k)
-        for d in range(nderiv + 1):
-            K[d, j] = scale * P[d + 1, k - 1]
-    return K
+    k = np.arange(2, jmax + 3)
+    scale = -4.0 * np.sqrt((2 * k - 1) / 2.0) / ((k - 1) * k)
+    return scale[:, None] * legendre_table(x, jmax + 1, nderiv + 1)[1:, 1:]
 
 
 def edge_shapes(p, t):
@@ -122,41 +114,39 @@ def edge_shapes(p, t):
     """
     t = np.asarray(t, dtype=float)
     s = 2.0 * t - 1.0
-    out = np.zeros((t.shape[0], p + 1))
-    out[:, 0] = 1.0 - t
-    out[:, 1] = t
-    if p >= 2:
-        psi = kernel_table(s, p - 2)[0]
-        blend = 0.25 * (1.0 - s * s)
-        for k in range(2, p + 1):
-            out[:, k] = blend * psi[k - 2]
-    return out
+    psi = kernel_table(s, max(p - 2, 0))[0, :p - 1]
+    return np.column_stack([1.0 - t, t, (0.25 * (1.0 - s * s) * psi).T])
 
 
-def _sym2(u, v):
-    """Packed u (x) v + v (x) u with component order (xx, xy, yy)."""
-    return np.array([2.0 * u[0] * v[0], u[0] * v[1] + u[1] * v[0], 2.0 * u[1] * v[1]])
+@functools.lru_cache(maxsize=None)
+def _factor_rows(p):
+    """Rows of the 1-D factor table that make up each mode, (nloc, 5).
 
-
-def _outer2(u):
-    """Packed u (x) u."""
-    return np.array([u[0] * u[0], u[0] * u[1], u[1] * u[1]])
-
-
-def _sym2_pointwise(dq, u):
-    """Packed dq (x) u + u (x) dq for pointwise dq (n, 2), constant u."""
-    return np.stack(
-        [
-            2.0 * dq[:, 0] * u[0],
-            dq[:, 0] * u[1] + dq[:, 1] * u[0],
-            2.0 * dq[:, 1] * u[1],
-        ],
-        axis=1,
-    )
+    The table holds P_0 and P_1 of lam_0..lam_2 (so row 0 is the
+    constant one and row 2i+1 is lam_i), the kernels of the three
+    edges, then P_i(lam_1 - lam_0) and P_j(2 lam_2 - 1).
+    """
+    nk, nb = max(p - 1, 1), max(p - 2, 1)
+    leg_u = 6 + 3 * nk
+    rows = []
+    for mode in layout(p):
+        if mode[0] == "v":
+            rows.append((2 * mode[1] + 1, 0, 0, 0, 0))
+        elif mode[0] == "e":
+            _, l, k = mode
+            a, b = EDGE_VERTICES[l]
+            rows.append((2 * a + 1, 2 * b + 1, 6 + l * nk + k - 2, 0, 0))
+        else:
+            rows.append((1, 3, 5, leg_u + mode[1], leg_u + nb + mode[2]))
+    return np.array(rows, dtype=np.int64)
 
 
 def tri_shapes(p, pts, nderiv=1):
     """Shape functions of degree p at reference points.
+
+    Every mode is a product of five 1-D factors, each a function of an
+    affine form with constant gradient (unused slots are ones), so
+    values, gradients and Hessians all follow from one product rule.
 
     Parameters
     ----------
@@ -173,88 +163,36 @@ def tri_shapes(p, pts, nderiv=1):
     (n, nloc, 2) and "hess" (n, nloc, 3) with order (xx, xy, yy).
     """
     pts = np.asarray(pts, dtype=float)
-    npts = pts.shape[0]
-    nloc = n_local(p)
     lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+    # families of 1-D factors in _factor_rows order: (table, argument,
+    # its constant gradient, top index)
+    fam = [(legendre_table, lam[i], GRAD_LAMBDA[i], 1) for i in range(3)]
+    fam += [(kernel_table, lam[b] - lam[a], GRAD_LAMBDA[b] - GRAD_LAMBDA[a],
+             max(p - 2, 0)) for a, b in EDGE_VERTICES]
+    fam += [(legendre_table, x, g, max(p - 3, 0)) for x, g in (
+        (lam[1] - lam[0], GRAD_LAMBDA[1] - GRAD_LAMBDA[0]),
+        (2.0 * lam[2] - 1.0, 2.0 * GRAD_LAMBDA[2]))]
+    rows = _factor_rows(p)
+    f = np.concatenate([table(x, n, nderiv) for table, x, _, n in fam],
+                       axis=1)[:, rows]            # (nderiv+1, nloc, 5, npts)
+    c = np.concatenate([np.tile(g, (n + 1, 1)) for _, _, g, n in fam])[rows]
 
-    val = np.zeros((npts, nloc))
-    out = {"val": val}
+    def product(orders):
+        # the mode product with factor s differentiated orders[s] times
+        out = f[orders[0], :, 0]
+        for s in range(1, 5):
+            out = out * f[orders[s], :, s]
+        return out
+
+    unit = np.eye(5, dtype=np.int64)
+    out = {"val": product(0 * unit[0]).T}
     if nderiv >= 1:
-        grad = np.zeros((npts, nloc, 2))
-        out["grad"] = grad
+        d1 = np.array([product(u) for u in unit])
+        out["grad"] = np.einsum("slq,lsa->qla", d1, c)
     if nderiv >= 2:
-        hess = np.zeros((npts, nloc, 3))
-        out["hess"] = hess
-
-    for i in range(3):
-        val[:, i] = lam[i]
-        if nderiv >= 1:
-            grad[:, i] = GRAD_LAMBDA[i]
-
-    if p >= 2:
-        idx = edge_mode_indices(p)
-        for l, (a, b) in enumerate(EDGE_VERTICES):
-            u = lam[b] - lam[a]
-            psi = kernel_table(u, p - 2, nderiv=nderiv)
-            q = lam[a] * lam[b]
-            du = GRAD_LAMBDA[b] - GRAD_LAMBDA[a]
-            dq = np.outer(lam[b], GRAD_LAMBDA[a]) + np.outer(lam[a], GRAD_LAMBDA[b])
-            hq = _sym2(GRAD_LAMBDA[a], GRAD_LAMBDA[b])
-            for k in range(2, p + 1):
-                j = k - 2
-                li = idx[l, j]
-                val[:, li] = q * psi[0, j]
-                if nderiv >= 1:
-                    grad[:, li] = dq * psi[0, j][:, None] + np.outer(q * psi[1, j], du)
-                if nderiv >= 2:
-                    hess[:, li] = (
-                        np.outer(psi[0, j], hq)
-                        + _sym2_pointwise(dq, du) * psi[1, j][:, None]
-                        + np.outer(q * psi[2, j], _outer2(du))
-                    )
-
-    if p >= 3:
-        u01 = lam[1] - lam[0]
-        v2 = 2.0 * lam[2] - 1.0
-        du = GRAD_LAMBDA[1] - GRAD_LAMBDA[0]
-        dv = 2.0 * GRAD_LAMBDA[2]
-        Pu = legendre_table(u01, p - 3, nderiv=nderiv)
-        Pv = legendre_table(v2, p - 3, nderiv=nderiv)
-        w = lam[0] * lam[1] * lam[2]
-        dw = (
-            np.outer(lam[1] * lam[2], GRAD_LAMBDA[0])
-            + np.outer(lam[0] * lam[2], GRAD_LAMBDA[1])
-            + np.outer(lam[0] * lam[1], GRAD_LAMBDA[2])
-        )
-        hw = (
-            np.outer(lam[2], _sym2(GRAD_LAMBDA[0], GRAD_LAMBDA[1]))
-            + np.outer(lam[1], _sym2(GRAD_LAMBDA[0], GRAD_LAMBDA[2]))
-            + np.outer(lam[0], _sym2(GRAD_LAMBDA[1], GRAD_LAMBDA[2]))
-        )
-        pos = {m: i for i, m in enumerate(layout(p))}
-        for i_deg in range(p - 2):
-            for j_deg in range(p - 2 - i_deg):
-                li = pos[("b", i_deg, j_deg)]
-                g, h = Pu[0, i_deg], Pv[0, j_deg]
-                val[:, li] = w * g * h
-                if nderiv >= 1:
-                    gp, hp = Pu[1, i_deg], Pv[1, j_deg]
-                    grad[:, li] = (
-                        dw * (g * h)[:, None]
-                        + np.outer(w * gp * h, du)
-                        + np.outer(w * g * hp, dv)
-                    )
-                if nderiv >= 2:
-                    gpp, hpp = Pu[2, i_deg], Pv[2, j_deg]
-                    hess[:, li] = (
-                        hw * (g * h)[:, None]
-                        + _sym2_pointwise(dw, du) * (gp * h)[:, None]
-                        + _sym2_pointwise(dw, dv) * (g * hp)[:, None]
-                        + np.outer(w * gpp * h, _outer2(du))
-                        + np.outer(w * gp * hp, _sym2(du, dv))
-                        + np.outer(w * g * hpp, _outer2(dv))
-                    )
-
+        d2 = np.array([[product(u + v) for v in unit] for u in unit])
+        hess = np.einsum("stlq,lsa,ltb->qlab", d2, c, c)
+        out["hess"] = hess[:, :, [0, 0, 1], [0, 1, 1]]
     return out
 
 

@@ -206,6 +206,16 @@ class Mesh:
         return _tag_dict(self.edges[b], np.array(self.tag_names)[self.edge_tag[b]])
 
 
+# The images of the reference triangle (0,0), (1,0), (0,1) that one
+# refine call makes, as vertex triples in its coordinates: the children
+# (v2, v0, m) and (v1, v2, m), then the children of each, one bisection
+# per line.  Only input edges are split, so none is bisected thrice.
+CHILD_POSITIONS = np.array([
+    [[0, 1], [0, 0], [0.5, 0]], [[1, 0], [0, 1], [0.5, 0]],
+    [[0.5, 0], [0, 1], [0, 0.5]], [[0, 0], [0.5, 0], [0, 0.5]],
+    [[0.5, 0], [1, 0], [0.5, 0.5]], [[0, 1], [0.5, 0], [0.5, 0.5]]])
+
+
 def refine(mesh, marked):
     """Bisect the marked elements, with closure to keep conformity.
 

@@ -19,14 +19,9 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import reference_kernels
-from .basis import (
-    EDGE_VERTICES,
-    bubble_indices,
-    edge_mode_indices,
-    edge_shapes,
-    n_local,
-    tri_shapes,
-)
+from .basis import (EDGE_VERTICES, bubble_indices, edge_mode_indices,
+                    edge_shapes, n_local, tri_shapes)
+from .mesh import CHILD_POSITIONS
 from .quadrature import interval_rule
 
 
@@ -35,12 +30,6 @@ def _edge_gram(p):
     t, w = interval_rule(2 * p + 2)
     E = edge_shapes(p, t)[:, 2 : p + 1]
     return scipy.linalg.cho_factor((E * w[:, None]).T @ E), t, w, E
-
-
-def _ref_projection(p, rhs):
-    """Coefficients of the reference L2 projection: M_ref^{-1} rhs."""
-    return scipy.linalg.cho_solve(
-        scipy.linalg.cho_factor(reference_kernels(p)["M"]), rhs)
 
 
 class DofHandler:
@@ -207,8 +196,7 @@ class DofHandler:
             edge_part[:, bi] = 0.0
             resid = (f(phys.reshape(-1, 2)).reshape(ids.size, -1)
                      - edge_part @ ker["V"].T)
-            d = _ref_projection(p, ker["V"].T @ (ker["w"][:, None] * resid.T))
-            coeffs[l2g[:, bi]] = d[bi].T * signs[:, bi]
+            coeffs[l2g[:, bi]] = resid @ ker["P"][bi].T * signs[:, bi]
         return coeffs
 
 
@@ -223,12 +211,13 @@ def _copy_blocks(dst, dst_start, src, src_start, counts):
 def transfer(old, new, coeffs):
     """Carry coefficients from one handler to a refined or enriched one.
 
-    The new handler's mesh must descend from the old one through a
-    single refine call (its parent array indexes old elements, old
-    vertex ids are preserved), or be the same mesh, and new degrees must
-    dominate old degrees elementwise through the parent map.  The
-    transferred function is identical as an element of the larger space
-    up to roundoff.
+    The new handler's mesh must be the old one or come from it through
+    one refine call: its parent array indexes old elements, old vertex
+    ids are preserved, and every split element is one of the six
+    images in mesh.CHILD_POSITIONS of its parent.  New degrees must
+    dominate old degrees elementwise through the parent map.  Otherwise
+    ValueError is raised.  The transferred function is identical as an
+    element of the larger space up to roundoff.
 
     coeffs uses the old full numbering, shape (n_full,) or (n_full, m);
     returns the same in the new full numbering.
@@ -244,6 +233,8 @@ def transfer(old, new, coeffs):
     # so identity is the right element map in that case
     parent = (np.arange(mn.n_elements, dtype=np.int64) if mn is mo
               else mn.parent)
+    if np.any((parent < 0) | (parent >= mo.n_elements)):
+        raise ValueError("new mesh is not one refine call from the old one")
     if np.any(new.degrees < old.degrees[parent]):
         raise ValueError("transfer requires non-decreasing degrees")
 
@@ -266,28 +257,26 @@ def transfer(old, new, coeffs):
                  old.bubble_offset[parent[kept]],
                  np.diff(old.bubble_offset)[parent[kept]])
 
-    # refined elements: local L2 projection of the parent function, which
-    # lies in the child's local space, so the projection is exact
+    # refined elements: find each one's position in its parent from its
+    # vertices, then apply that position's child table
     split = np.nonzero(~same)[0]
-    p_old, p_new = old.degrees[parent[split]], new.degrees[split]
-    maps_new, maps_old = mn.maps(), mo.maps()
-    for po, pn in sorted(set(zip(p_old.tolist(), p_new.tolist()))):
-        ks = split[(p_old == po) & (p_new == pn)]
-        kp = parent[ks]
-        ker = reference_kernels(pn)
-        phys = maps_new["origin"][ks, None, :] + np.einsum(
-            "kab,qb->kqa", maps_new["J"][ks], ker["pts"])
-        ref_old = np.einsum("kab,kqb->kqa", maps_old["Jinv"][kp],
-                            phys - maps_old["origin"][kp, None, :])
-        V_old = tri_shapes(po, ref_old.reshape(-1, 2), nderiv=0)["val"]
-        V_old = V_old.reshape(ks.size, -1, n_local(po))
-        vals = np.einsum("kql,klm->kqm", V_old,
-                         old.gather(coeffs, po, old.row[kp]))
-        rhs = np.einsum("ql,q,kqm->lkm", ker["V"], ker["w"], vals)
-        d = _ref_projection(pn, rhs.reshape(rhs.shape[0], -1))
-        d = d.reshape(rhs.shape).transpose(1, 0, 2)
+    maps = mo.maps()
+    kp = parent[split]
+    ref = np.einsum("kab,kvb->kva", maps["Jinv"][kp],
+                    mn.vertices[mn.elements[split]]
+                    - maps["origin"][kp, None, :])
+    match = np.all(np.abs(ref[:, None] - CHILD_POSITIONS) < 1e-8, axis=(2, 3))
+    if not np.all(match.any(axis=1)):
+        raise ValueError("new mesh is not one refine call from the old one")
+    pos = match.argmax(axis=1)
+    p_old, p_new = old.degrees[kp], new.degrees[split]
+    for po, pn, i in sorted(set(zip(p_old.tolist(), p_new.tolist(),
+                                    pos.tolist()))):
+        sel = (p_old == po) & (p_new == pn) & (pos == i)
+        table = reference_kernels(pn)["C"][i, :, :n_local(po)]
+        d = table @ old.gather(coeffs, po, old.row[kp[sel]])
         _, l2g, signs = new.groups[pn]
-        g, s = l2g[new.row[ks]], signs[new.row[ks]]
+        g, s = l2g[new.row[split[sel]]], signs[new.row[split[sel]]]
         ok = g >= 0
         out[g[ok]] = d[ok] * s[ok][:, None]
 

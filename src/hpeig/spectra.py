@@ -55,6 +55,8 @@ def _series(nu, x):
 def bessel_j(nu, x):
     """First-kind Bessel function J_nu(x) for nu >= -1/2, 0 <= x <= 60.
 
+    x = 0 with nu < 0 raises ValueError, since J_nu is unbounded there.
+
     Ascending series summed in extended precision; relative accuracy
     well below 1e-13 across the validated range.
     """
@@ -63,6 +65,8 @@ def bessel_j(nu, x):
     if not 0.0 <= x <= 60.0:
         raise ValueError("argument outside validated range [0, 60]")
     if x == 0:
+        if nu < 0:
+            raise ValueError("J_nu(0) is unbounded for nu < 0")
         return 0.0 if nu > 0 else 1.0
     return float(_MP.mpf(x) ** nu * _series(nu, x)[0])
 

@@ -3,6 +3,7 @@ import numpy.polynomial.legendre as npleg
 
 from hpeig.basis import (
     EDGE_VERTICES,
+    GRAD_LAMBDA,
     dubiner,
     dubiner_degrees,
     edge_mode_indices,
@@ -20,6 +21,133 @@ def interior_points(n, seed=0):
     rng = np.random.default_rng(seed)
     b = rng.dirichlet(np.ones(3), size=n)
     return b[:, 1:]
+
+
+# The hand-derived tri_shapes that the product rule replaced, kept as the
+# reference for values, gradients and Hessians.
+def _sym2(u, v):
+    """Packed u (x) v + v (x) u with component order (xx, xy, yy)."""
+    return np.array([2.0 * u[0] * v[0], u[0] * v[1] + u[1] * v[0], 2.0 * u[1] * v[1]])
+
+
+def _outer2(u):
+    """Packed u (x) u."""
+    return np.array([u[0] * u[0], u[0] * u[1], u[1] * u[1]])
+
+
+def _sym2_pointwise(dq, u):
+    """Packed dq (x) u + u (x) dq for pointwise dq (n, 2), constant u."""
+    return np.stack(
+        [
+            2.0 * dq[:, 0] * u[0],
+            dq[:, 0] * u[1] + dq[:, 1] * u[0],
+            2.0 * dq[:, 1] * u[1],
+        ],
+        axis=1,
+    )
+
+
+def reference_tri_shapes(p, pts, nderiv=1):
+    """The vertex, edge and bubble branches differentiated by hand."""
+    pts = np.asarray(pts, dtype=float)
+    npts = pts.shape[0]
+    nloc = n_local(p)
+    lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+
+    val = np.zeros((npts, nloc))
+    out = {"val": val}
+    if nderiv >= 1:
+        grad = np.zeros((npts, nloc, 2))
+        out["grad"] = grad
+    if nderiv >= 2:
+        hess = np.zeros((npts, nloc, 3))
+        out["hess"] = hess
+
+    for i in range(3):
+        val[:, i] = lam[i]
+        if nderiv >= 1:
+            grad[:, i] = GRAD_LAMBDA[i]
+
+    if p >= 2:
+        idx = edge_mode_indices(p)
+        for l, (a, b) in enumerate(EDGE_VERTICES):
+            u = lam[b] - lam[a]
+            psi = kernel_table(u, p - 2, nderiv=nderiv)
+            q = lam[a] * lam[b]
+            du = GRAD_LAMBDA[b] - GRAD_LAMBDA[a]
+            dq = np.outer(lam[b], GRAD_LAMBDA[a]) + np.outer(lam[a], GRAD_LAMBDA[b])
+            hq = _sym2(GRAD_LAMBDA[a], GRAD_LAMBDA[b])
+            for k in range(2, p + 1):
+                j = k - 2
+                li = idx[l, j]
+                val[:, li] = q * psi[0, j]
+                if nderiv >= 1:
+                    grad[:, li] = dq * psi[0, j][:, None] + np.outer(q * psi[1, j], du)
+                if nderiv >= 2:
+                    hess[:, li] = (
+                        np.outer(psi[0, j], hq)
+                        + _sym2_pointwise(dq, du) * psi[1, j][:, None]
+                        + np.outer(q * psi[2, j], _outer2(du))
+                    )
+
+    if p >= 3:
+        u01 = lam[1] - lam[0]
+        v2 = 2.0 * lam[2] - 1.0
+        du = GRAD_LAMBDA[1] - GRAD_LAMBDA[0]
+        dv = 2.0 * GRAD_LAMBDA[2]
+        Pu = legendre_table(u01, p - 3, nderiv=nderiv)
+        Pv = legendre_table(v2, p - 3, nderiv=nderiv)
+        w = lam[0] * lam[1] * lam[2]
+        dw = (
+            np.outer(lam[1] * lam[2], GRAD_LAMBDA[0])
+            + np.outer(lam[0] * lam[2], GRAD_LAMBDA[1])
+            + np.outer(lam[0] * lam[1], GRAD_LAMBDA[2])
+        )
+        hw = (
+            np.outer(lam[2], _sym2(GRAD_LAMBDA[0], GRAD_LAMBDA[1]))
+            + np.outer(lam[1], _sym2(GRAD_LAMBDA[0], GRAD_LAMBDA[2]))
+            + np.outer(lam[0], _sym2(GRAD_LAMBDA[1], GRAD_LAMBDA[2]))
+        )
+        pos = {m: i for i, m in enumerate(layout(p))}
+        for i_deg in range(p - 2):
+            for j_deg in range(p - 2 - i_deg):
+                li = pos[("b", i_deg, j_deg)]
+                g, h = Pu[0, i_deg], Pv[0, j_deg]
+                val[:, li] = w * g * h
+                if nderiv >= 1:
+                    gp, hp = Pu[1, i_deg], Pv[1, j_deg]
+                    grad[:, li] = (
+                        dw * (g * h)[:, None]
+                        + np.outer(w * gp * h, du)
+                        + np.outer(w * g * hp, dv)
+                    )
+                if nderiv >= 2:
+                    gpp, hpp = Pu[2, i_deg], Pv[2, j_deg]
+                    hess[:, li] = (
+                        hw * (g * h)[:, None]
+                        + _sym2_pointwise(dw, du) * (gp * h)[:, None]
+                        + _sym2_pointwise(dw, dv) * (g * hp)[:, None]
+                        + np.outer(w * gpp * h, _outer2(du))
+                        + np.outer(w * gp * hp, _sym2(du, dv))
+                        + np.outer(w * g * hpp, _outer2(dv))
+                    )
+
+    return out
+
+
+def test_product_rule_matches_hand_derived_reference():
+    t = np.linspace(0, 1, 9)
+    on_edges = np.vstack([np.column_stack([t, 0 * t]), np.column_stack([0 * t, t]),
+                          np.column_stack([1 - t, t])])
+    pts = np.vstack([interior_points(40, seed=5), on_edges])
+    for p in range(1, 13):
+        for nderiv in range(3):
+            got, want = tri_shapes(p, pts, nderiv), reference_tri_shapes(p, pts, nderiv)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].shape == want[key].shape
+                scale = np.abs(want[key]).max()
+                assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * scale
 
 
 def test_legendre_table_against_numpy():

@@ -53,6 +53,23 @@ def test_run_m_above_references_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("section, setting", [
+    ("adapt", "max_steps = 0"),
+    ("adapt", "sigma0 = nan"),
+    ("solver", "max_iter = 0"),
+    ("solver", "tol = 0"),
+    ("solver", "tol = -1"),
+    ("solver", "tol = nan"),
+])
+def test_run_out_of_range_setting_exits_2(tmp_path, capsys, section, setting):
+    cfg = write_config(tmp_path, "[problem]\nname = square_dirichlet\n\n"
+                                 f"[{section}]\n{setting}\n")
+    assert cli.main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path / "x.csv")]) == 2

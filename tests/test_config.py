@@ -140,3 +140,23 @@ name = slit_square
 [adapt]
 m = 8
 """))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("adapt", "max_steps", "0"),
+    ("adapt", "sigma0", "nan"),
+    ("solver", "max_iter", "0"),
+    ("solver", "tol", "0"),
+    ("solver", "tol", "-1"),
+    ("solver", "tol", "nan"),
+    ("solver", "tol", "inf"),
+])
+def test_out_of_range_run_settings_rejected(tmp_path, section, key, value):
+    with pytest.raises(ConfigError):
+        parse_config(write(tmp_path, f"""
+[problem]
+name = square_dirichlet
+
+[{section}]
+{key} = {value}
+"""))

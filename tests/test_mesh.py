@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpeig.mesh import (
+    CHILD_POSITIONS,
     LOCAL_EDGES,
     Mesh,
     build_mesh,
@@ -51,6 +52,25 @@ def test_uniform_refine_bisects_every_element():
     areas = np.zeros(m.n_elements)
     np.add.at(areas, fine.parent, fine.area)
     assert np.allclose(areas, m.area, atol=1e-14)
+
+
+@pytest.mark.parametrize("base, positions", [(square_grid(2), {0, 1}),
+                                             (triangle_grid(2), set(range(6)))])
+def test_refined_elements_are_child_positions(base, positions):
+    # every split element, in its parent's reference coordinates, is one
+    # of the six images; triangle_grid(2) splits some elements twice
+    seen = set()
+    for marks in (np.arange(base.n_elements), [0]):
+        fine = refine(base, marks)
+        maps, kp = base.maps(), fine.parent
+        split = np.any(fine.elements != base.elements[kp], axis=1)
+        ref = np.einsum("kab,kvb->kva", maps["Jinv"][kp[split]],
+                        fine.vertices[fine.elements[split]]
+                        - maps["origin"][kp[split], None])
+        dist = np.abs(ref[:, None] - CHILD_POSITIONS).max(axis=(2, 3))
+        assert np.all(dist.min(axis=1) < 1e-12)
+        seen.update(dist.argmin(axis=1).tolist())
+    assert seen == positions
 
 
 def test_local_refinement_stays_conforming():

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpeig.assembly
+import hpeig.space
 from hpeig.basis import (EDGE_VERTICES, bubble_indices, edge_mode_indices,
                          n_local)
-from hpeig.mesh import refine, slit_square_grid, square_grid
+from hpeig.mesh import (Mesh, refine, slit_square_grid, square_grid,
+                        triangle_grid, uniform_refine)
 from hpeig.space import DofHandler, transfer
 
 
@@ -177,12 +180,20 @@ def test_interpolate_reproduces_space_members():
         assert np.max(np.abs(got - f(phys))) < 1e-11
 
 
+COARSE = {"square": lambda: square_grid(2),
+          "slit_square": lambda: slit_square_grid(2),
+          "triangle": lambda: triangle_grid(2)}
+
+
+# triangle_grid(2) refines some elements twice in one call, so all six
+# child tables are used; a top degree of 10 reaches 12 after raises
 @settings(max_examples=30)
-@given(coarse=st.sampled_from(["square", "slit_square"]), data=st.data())
-def test_transfer_is_exact_on_refinement(coarse, data):
-    mesh = square_grid(2) if coarse == "square" else slit_square_grid(2)
+@given(coarse=st.sampled_from(sorted(COARSE)), top=st.sampled_from([4, 10]),
+       data=st.data())
+def test_transfer_is_exact_on_refinement(coarse, top, data):
+    mesh = COARSE[coarse]()
     ne = mesh.n_elements
-    degrees = np.array(data.draw(st.lists(st.integers(1, 4), min_size=ne, max_size=ne)))
+    degrees = np.array(data.draw(st.lists(st.integers(1, top), min_size=ne, max_size=ne)))
     h = DofHandler(mesh, degrees)
     rng = np.random.default_rng(4)
     coeffs = h.expand(rng.standard_normal(h.n_dofs))
@@ -192,6 +203,9 @@ def test_transfer_is_exact_on_refinement(coarse, data):
                                   max_size=fine.n_elements))
     hf = DofHandler(fine, degrees[fine.parent] + raise_by)
     out = transfer(h, hf, coeffs)
+    # up to degree 12 the child coefficients reach ~1e4 for unit parent
+    # ones, and evaluating them loses about n_local * eps of that
+    tol = 1e-11 if top == 4 else 1e-14 * n_local(12) * np.abs(out).max()
 
     pts = rng.dirichlet(np.ones(3), size=12)[:, 1:]
     maps = fine.maps()
@@ -200,7 +214,7 @@ def test_transfer_is_exact_on_refinement(coarse, data):
         kp = fine.parent[k]
         want = h.evaluate(coeffs, [kp], to_ref(mesh, kp, phys))[0]
         got = hf.evaluate(out, [k], pts)[0]
-        assert np.max(np.abs(got - want)) < 1e-11
+        assert np.max(np.abs(got - want)) < tol
 
 
 def test_transfer_pure_degree_increase():
@@ -222,6 +236,35 @@ def test_transfer_rejects_degree_drop():
     h = DofHandler(mesh, 3)
     with pytest.raises(ValueError):
         transfer(h, DofHandler(mesh, 2), np.zeros(h.n_full))
+
+
+def test_transfer_rejects_mesh_not_one_refine_away():
+    mesh = square_grid(2)
+    h = DofHandler(mesh, 2)
+    coeffs = np.zeros(h.n_full)
+    # parent ids index the once-refined mesh, beyond the old elements
+    with pytest.raises(ValueError, match="one refine call"):
+        transfer(h, DofHandler(uniform_refine(mesh, times=2), 2), coeffs)
+    # parent ids in range, but the elements are not images of them
+    fine = uniform_refine(mesh)
+    shuffled = Mesh(fine.vertices, fine.elements, fine.boundary_tag_dict(),
+                    parent=fine.parent[::-1])
+    with pytest.raises(ValueError, match="one refine call"):
+        transfer(h, DofHandler(shuffled, 2), coeffs)
+
+
+def test_transfer_with_warm_tables_evaluates_no_shapes(monkeypatch):
+    mesh = triangle_grid(2)
+    h = DofHandler(mesh, 3)
+    hf = DofHandler(refine(mesh, [0]), 4)
+    coeffs = np.ones(h.n_full)
+    want = transfer(h, hf, coeffs)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("tri_shapes called")
+    monkeypatch.setattr(hpeig.space, "tri_shapes", boom)
+    monkeypatch.setattr(hpeig.assembly, "tri_shapes", boom)
+    assert np.array_equal(transfer(h, hf, coeffs), want)
 
 
 def test_slit_sides_are_independent():

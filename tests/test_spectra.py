@@ -46,6 +46,15 @@ def test_bessel_value_and_edge_cases():
         spectra.bessel_j(0.0, -0.1)
 
 
+def test_bessel_negative_order_at_zero_rejected():
+    # J_nu(0) is 1 only for nu = 0; for -1/2 <= nu < 0 it is unbounded
+    for nu in (-0.5, -0.25, -1e-12):
+        with pytest.raises(ValueError, match="unbounded"):
+            spectra.bessel_j(nu, 0.0)
+    assert spectra.bessel_j(-0.5, 1e-8) > 7e3
+    assert spectra.bessel_j(0.0, 0.0) == 1.0
+
+
 def test_bessel_roots_integer_orders():
     for nu in (0, 1):
         want = scipy.special.jn_zeros(nu, 10)
