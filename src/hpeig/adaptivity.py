@@ -63,6 +63,8 @@ class AdaptConfig:
             raise ValueError("solver tol must be finite and positive")
         if math.isnan(self.sigma0):
             raise ValueError("sigma0 must not be NaN")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -87,7 +89,7 @@ def mark_fixed_fraction(indicators, theta):
     return np.sort(order[:count])
 
 
-def estimate_analyticity(handler, coeffs_full, elems, members):
+def estimate_analyticity(handler, coeffs, elems, members):
     """Modal decay rate sigma per (element, member) pair.
 
     The local field is projected onto the orthonormal modal basis of
@@ -96,6 +98,9 @@ def estimate_analyticity(handler, coeffs_full, elems, members):
     log a_q against q drops blocks below 1e-14 of the largest and
     ignores the constant block once p >= 3; fewer than two surviving
     points means the expansion is resolved and returns +inf.
+
+    coeffs has shape (n_dofs, m); members[i] is the column judged on
+    element elems[i].
     """
     elems = np.asarray(elems, dtype=np.int64)
     members = np.asarray(members, dtype=np.int64)
@@ -103,7 +108,7 @@ def estimate_analyticity(handler, coeffs_full, elems, members):
     for p in np.unique(handler.degrees[elems]).tolist():
         sel = np.nonzero(handler.degrees[elems] == p)[0]
         ker = reference_kernels(p)
-        local = handler.gather(coeffs_full, p, handler.row[elems[sel]])
+        local = handler.gather(coeffs, p, handler.row[elems[sel]])
         local = local[np.arange(sel.size), :, members[sel]]
         coef = (local @ ker["V"].T * ker["w"]) @ ker["D"]
         q = np.arange(p + 1)
@@ -138,8 +143,7 @@ def decide_refinements(handler, field, vectors, marked, cfg):
         members = np.asarray(np.argmax(field.scaled_local[marked], axis=1))
     else:
         members = np.zeros(marked.size, dtype=np.int64)
-    coeffs_full = handler.expand(vectors)
-    sigmas = estimate_analyticity(handler, coeffs_full, marked, members)
+    sigmas = estimate_analyticity(handler, vectors, marked, members)
     p_el = handler.degrees[marked]
     take_p = (p_el >= 2) & (sigmas >= cfg.sigma0) & (p_el < cfg.p_max)
     return marked[~take_p], marked[take_p], sigmas
@@ -150,7 +154,7 @@ def solve_cluster(handler, co, cfg, x0=None):
 
     Without Dirichlet data the shift is -1, which keeps the
     factorization of a pure Neumann problem nonsingular; otherwise 0.
-    x0 (free dofs) warm-starts the solve.
+    x0 (n_dofs, k) warm-starts the solve.
     """
     B = assemble_stiffness(handler, co)
     M = assemble_mass(handler)
@@ -171,9 +175,7 @@ def adapt_loop(mesh, co, dirichlet_tags, cfg):
         handler = DofHandler(mesh, degrees, dirichlet_tags)
         x0 = None
         if prev is not None:
-            carried = transfer(prev.handler, handler,
-                               prev.handler.expand(prev.cluster.vectors))
-            x0 = handler.restrict(carried)
+            x0 = transfer(prev.handler, handler, prev.cluster.vectors)
         cluster = solve_cluster(handler, co, cfg, x0=x0)
         field = estimate(handler, cluster.vectors, cluster.values, co)
         record = ConvergenceRecord(step, handler, cluster, field)

@@ -72,8 +72,8 @@ def reference_kernels(p):
     C[i] = P V(images of pts in mesh.CHILD_POSITIONS[i]) maps a
     degree-p function on a parent to its coefficients on that child.
     Assembly reads S, M and V; the estimator's interior residual reads
-    V and H; interpolation projects with V and P; transfer reads C,
-    whose leading n_local(q) columns serve a degree-q parent; the hp
+    V and H; transfer reads C, whose leading n_local(q) columns serve a
+    degree-q parent; the hp
     decision projects onto the modal basis with V, w and D.
     """
     pts, w = triangle_rule(2 * p)
@@ -107,9 +107,8 @@ def _scatter(handler, build_local):
     for p, (ids, g, s) in handler.groups.items():
         loc = build_local(p, ids, maps)
         loc = loc * s[:, :, None] * s[:, None, :]
-        gf = np.where(g >= 0, handler.full_to_free[np.maximum(g, 0)], -1)
-        r = np.broadcast_to(gf[:, :, None], loc.shape)
-        c = np.broadcast_to(gf[:, None, :], loc.shape)
+        r = np.broadcast_to(g[:, :, None], loc.shape)
+        c = np.broadcast_to(g[:, None, :], loc.shape)
         ok = (r >= 0) & (c >= 0)
         rows.append(r[ok])
         cols.append(c[ok])
@@ -122,7 +121,7 @@ def _scatter(handler, build_local):
 
 
 def assemble_stiffness(handler, coeffs):
-    """Matrix of B(u, v) on the free dofs, CSR."""
+    """Matrix of B(u, v) on the handler's dofs, CSR."""
     mesh = handler.mesh
     A_el, c_el = coeffs.on_elements(mesh)
 
@@ -139,7 +138,7 @@ def assemble_stiffness(handler, coeffs):
 
 
 def assemble_mass(handler):
-    """Matrix of the L2 inner product on the free dofs, CSR."""
+    """Matrix of the L2 inner product on the handler's dofs, CSR."""
     def build(p, ids, maps):
         ker = reference_kernels(p)
         return maps["detJ"][ids][:, None, None] * ker["M"][None]
@@ -147,27 +146,27 @@ def assemble_mass(handler):
     return _scatter(handler, build)
 
 
-def assemble_load(handler, coeffs_full):
+def assemble_load(handler, coeffs):
     """Load vector (f, v) for f given by coefficients in the same space.
 
-    Uses pointwise quadrature values of f, independently of the
-    assembled mass matrix.  Returns the free vector.
+    coeffs has shape (n_dofs,) or (n_dofs, m), else ValueError; the
+    result has the same shape.  Uses pointwise quadrature values of f,
+    independently of the assembled mass matrix.
     """
     mesh = handler.mesh
     maps = mesh.maps()
-    coeffs_full = np.asarray(coeffs_full, dtype=float)
-    squeeze = coeffs_full.ndim == 1
+    coeffs = np.asarray(coeffs, dtype=float)
+    squeeze = coeffs.ndim == 1
     if squeeze:
-        coeffs_full = coeffs_full[:, None]
-    out = np.zeros((handler.n_dofs, coeffs_full.shape[1]))
+        coeffs = coeffs[:, None]
+    out = np.zeros((handler.n_dofs, coeffs.shape[1]))
     for p, (ids, g, s) in handler.groups.items():
         ker = reference_kernels(p)
-        loc = handler.gather(coeffs_full, p)
+        loc = handler.gather(coeffs, p)
         fvals = np.einsum("ql,klm->kqm", ker["V"], loc)
         rhs = np.einsum("ql,q,kqm->klm", ker["V"], ker["w"], fvals)
         rhs *= maps["detJ"][ids][:, None, None]
         rhs *= s[:, :, None]
-        gf = np.where(g >= 0, handler.full_to_free[np.maximum(g, 0)], -1)
-        ok = gf >= 0
-        np.add.at(out, gf[ok], rhs[ok])
+        ok = g >= 0
+        np.add.at(out, g[ok], rhs[ok])
     return out[:, 0] if squeeze else out

@@ -106,18 +106,6 @@ def kernel_table(x, jmax, nderiv=0):
     return scale[:, None] * legendre_table(x, jmax + 1, nderiv + 1)[1:, 1:]
 
 
-def edge_shapes(p, t):
-    """Trace basis on an edge parametrized by t in [0, 1].
-
-    Columns: endpoint at t=0, endpoint at t=1, then modes k = 2..p.
-    Shape (len(t), p+1).
-    """
-    t = np.asarray(t, dtype=float)
-    s = 2.0 * t - 1.0
-    psi = kernel_table(s, max(p - 2, 0))[0, :p - 1]
-    return np.column_stack([1.0 - t, t, (0.25 * (1.0 - s * s) * psi).T])
-
-
 @functools.lru_cache(maxsize=None)
 def _factor_rows(p):
     """Rows of the 1-D factor table that make up each mode, (nloc, 5).

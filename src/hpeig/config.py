@@ -75,6 +75,8 @@ def parse_config(path):
         raise ConfigError(f"problem {spec.key!r} has a fixed mesh; "
                           "remove initial_cells")
     cells = prob.get("initial_cells", spec.default_cells)
+    if "initial_cells" in prob and cells < 1:
+        raise ConfigError(f"initial_cells must be >= 1, got {cells}")
 
     adapt = _section(parser, "adapt", _ADAPT_KEYS)
     solver = _section(parser, "solver", _SOLVER_KEYS)

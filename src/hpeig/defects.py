@@ -44,9 +44,8 @@ def fine_handler(handler, refine_mesh=True, increment=2):
 
 
 def prolong(handler, fine, vectors):
-    """Carry free coefficient columns into the fine space (free dofs)."""
-    full = handler.expand(np.asarray(vectors, dtype=float))
-    return fine.restrict(transfer(handler, fine, full))
+    """Carry coefficient columns into the fine space."""
+    return transfer(handler, fine, vectors)
 
 
 @dataclass
@@ -89,7 +88,7 @@ def defect_report(handler, co, values, vectors, refine_mesh=True,
     """Compute the defect spectrum of the given eigenpairs.
 
     values and vectors are the computed cluster on handler's space
-    (free dofs, one column per pair).  Returns a DefectReport; the
+    (one column per pair).  Returns a DefectReport; the
     surrogate handler is also returned for reuse.
     """
     _check_coercive(handler, co)
@@ -98,7 +97,7 @@ def defect_report(handler, co, values, vectors, refine_mesh=True,
                         increment=increment)
     Bf = assemble_stiffness(fine, co)
     P = prolong(handler, fine, vectors)
-    loads = assemble_load(fine, fine.expand(P))
+    loads = assemble_load(fine, P)
     W = splu(Bf.tocsc(), **SPD_LU).solve(loads)
     D = W - P / values[None, :]
     E = D.T @ (Bf @ D)
@@ -166,7 +165,7 @@ def oracle_checks(handler, co, values, vectors, refs=None, next_value=None):
     """
     checks = []
     B = assemble_stiffness(handler, co)
-    loads = assemble_load(handler, handler.expand(vectors))
+    loads = assemble_load(handler, vectors)
     back = splu(B.tocsc(), **SPD_LU).solve(loads)
     resid = np.linalg.norm(back - vectors / np.asarray(values)[None, :])
     scale = np.linalg.norm(back)

@@ -57,16 +57,16 @@ class IndicatorField:
     total: float
 
 
-def element_residual_norms(handler, coeffs_full, values, co):
+def element_residual_norms(handler, coeffs, values, co):
     """Squared L2 norms of the strong interior residual, shape (ne, m).
 
-    coeffs_full has shape (n_full, m); values has shape (m,).  A is
+    coeffs has shape (n_dofs, m); values has shape (m,).  A is
     constant on each element so the divergence term is the double
     contraction of A with the Hessian.
     """
     mesh = handler.mesh
     values = np.asarray(values, dtype=float)
-    m = coeffs_full.shape[1]
+    m = coeffs.shape[1]
     A_el, c_el = co.on_elements(mesh)
     maps = mesh.maps()
     out = np.zeros((mesh.n_elements, m))
@@ -74,7 +74,7 @@ def element_residual_norms(handler, coeffs_full, values, co):
         ker = reference_kernels(p)
         # rows: values, then the Hessian components (xx, xy, yy)
         table = np.concatenate([ker["V"], *np.moveaxis(ker["H"], 2, 0)])
-        U = np.moveaxis(handler.gather(coeffs_full, p), 1, 0)
+        U = np.moveaxis(handler.gather(coeffs, p), 1, 0)
         Q = (table @ U.reshape(len(U), -1)).reshape(4, -1, ids.size, m)
         W = pulled_back_diffusion(maps["Jinv"][ids], A_el[ids])
         R = (values - c_el[ids, None]) * Q[0] + W[:, 0, 0, None] * Q[1] \
@@ -100,16 +100,17 @@ def _edge_gradients(p_max):
         3, 2, 2 * s.size, -1)
 
 
-def edge_jump_norms(handler, coeffs_full, co, kinds):
+def edge_jump_norms(handler, coeffs, co, kinds):
     """Squared L2 norms of conormal flux jumps, shape (n_edges, m).
 
-    Interior edges carry the two-sided jump, Neumann edges the
-    single-sided flux, Dirichlet edges zero.  Both sides are evaluated
-    at the points of interval_rule(2 max degree + 2) running from the
-    lower to the higher global vertex, read off _edge_gradients.
+    coeffs has shape (n_dofs, m).  Interior edges carry the two-sided
+    jump, Neumann edges the single-sided flux, Dirichlet edges zero.
+    Both sides are evaluated at the points of interval_rule(2 max
+    degree + 2) running from the lower to the higher global vertex,
+    read off _edge_gradients.
     """
     mesh = handler.mesh
-    m = coeffs_full.shape[1]
+    m = coeffs.shape[1]
     A_el, _ = co.on_elements(mesh)
     maps = mesh.maps()
     p_max = int(handler.degrees.max())
@@ -129,7 +130,7 @@ def edge_jump_norms(handler, coeffs_full, co, kinds):
 
     flux = np.zeros((2, mesh.n_edges, wq.size, m))
     for p, (ids, _, _) in handler.groups.items():
-        U = np.moveaxis(handler.gather(coeffs_full, p), 1, 0)
+        U = np.moveaxis(handler.gather(coeffs, p), 1, 0)
         for l, o in np.ndindex(3, 2):
             sel = np.nonzero(on[ids, l] & (orient[ids, l] == o))[0]
             k = ids[sel]
@@ -143,22 +144,21 @@ def edge_jump_norms(handler, coeffs_full, co, kinds):
 
 
 def estimate(handler, coeffs, values, co):
-    """Assemble the indicator field for eigenpairs given by free dofs.
+    """Assemble the indicator field for computed eigenpairs.
 
-    coeffs has shape (n_dofs, m) with columns the computed fields;
-    values are the matching eigenvalues.  Dirichlet edges are read from
-    the handler.
+    coeffs has shape (n_dofs, m) with columns the computed fields, else
+    ValueError; values are the matching eigenvalues.  Dirichlet edges
+    are read from the handler.
     """
     mesh = handler.mesh
     values = np.asarray(values, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != values.size:
         raise ValueError("coefficient columns must match eigenvalues")
-    full = handler.expand(coeffs)
     kinds = mesh.edge_kinds(handler.dirichlet_tags)
 
-    res = element_residual_norms(handler, full, values, co)
-    jumps = edge_jump_norms(handler, full, co, kinds)
+    res = element_residual_norms(handler, coeffs, values, co)
+    jumps = edge_jump_norms(handler, coeffs, co, kinds)
 
     p_el = handler.degrees.astype(float)
     scale_el = (mesh.h / p_el) ** 2

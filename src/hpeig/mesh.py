@@ -183,10 +183,6 @@ class Mesh:
             self._maps = {"J": J, "detJ": detJ, "Jinv": Jinv, "origin": v[:, 0]}
         return self._maps
 
-    def shape_regularity(self):
-        """max over elements of h(K)^2 / area(K)."""
-        return float(np.max(self.h**2 / self.area))
-
     def edges_with_tag(self, tag):
         if tag not in self.tag_names:
             return np.empty(0, dtype=np.int64)
@@ -200,10 +196,6 @@ class Mesh:
         for tag in dirichlet_tags:
             kinds[self.edges_with_tag(tag)] = 1
         return kinds
-
-    def boundary_tag_dict(self):
-        b = self.boundary_mask
-        return _tag_dict(self.edges[b], np.array(self.tag_names)[self.edge_tag[b]])
 
 
 # The images of the reference triangle (0,0), (1,0), (0,1) that one

@@ -8,28 +8,20 @@ space entirely.  Edge mode k is odd under endpoint swap for odd k, so
 elements whose local edge runs against the global orientation (from the
 lower to the higher vertex id) carry a -1 sign on their odd edge modes.
 
-Dofs are numbered: vertices first, then edge blocks, then per-element
-interior blocks.  Dirichlet constraints are a mask on this full
-numbering; matrices and solution vectors live on the free subset.
+Boundary data is homogeneous, so vertices and edge modes on Dirichlet
+edges carry no dof at all.  The one numbering holds the free vertices
+by id, then the edge blocks of the other edges, then per-element
+interior blocks; matrices and coefficient vectors all live on it.
 """
 
-import functools
-
 import numpy as np
-import scipy.linalg
 
 from .assembly import reference_kernels
-from .basis import (EDGE_VERTICES, bubble_indices, edge_mode_indices,
-                    edge_shapes, n_local, tri_shapes)
+from .basis import EDGE_VERTICES, bubble_indices, edge_mode_indices, n_local
+# tri_shapes is no longer called here, but perfbench/spans.py still wraps
+# it in this namespace
+from .basis import tri_shapes  # noqa: F401
 from .mesh import CHILD_POSITIONS
-from .quadrature import interval_rule
-
-
-@functools.lru_cache(maxsize=None)
-def _edge_gram(p):
-    t, w = interval_rule(2 * p + 2)
-    E = edge_shapes(p, t)[:, 2 : p + 1]
-    return scipy.linalg.cho_factor((E * w[:, None]).T @ E), t, w, E
 
 
 class DofHandler:
@@ -37,26 +29,31 @@ class DofHandler:
 
     Elements are grouped by degree: groups[p] = (ids, l2g, signs) holds
     the ascending ids of the degree-p elements and, one row per element,
-    the global dof of each local mode and its sign.  A local edge mode
-    above the conforming degree of its edge is absent and has l2g = -1
-    and sign 0, so gather(coeffs, p) (coeffs[max(l2g, 0)] * signs) reads
-    zero there.  row[k] is element k's row in its group.
+    the global dof of each local mode and its sign.  A local mode
+    without a dof is absent: a vertex or edge mode on a Dirichlet edge,
+    or an edge mode above the conforming degree of its edge.  It has
+    l2g = -1 and sign 0, so gather(coeffs, p) (coeffs[max(l2g, 0)] *
+    signs) reads zero there.  row[k] is element k's row in its group,
+    and vertex_dof[v] the dof of vertex v (-1 on Dirichlet vertices).
+    Coefficient vectors have shape (n_dofs,) or (n_dofs, m).
 
     Parameters
     ----------
     mesh : Mesh
-    degrees : int or ndarray (ne,)
+    degrees : int or integer ndarray (ne,)
         Polynomial degree per element, >= 1.
     dirichlet_tags : iterable of str
-        Boundary tags with essential conditions; everything else is
-        natural.
+        Boundary tags with homogeneous essential conditions; everything
+        else is natural.
     """
 
     def __init__(self, mesh, degrees, dirichlet_tags=()):
         self.mesh = mesh
-        if np.isscalar(degrees):
-            degrees = np.full(mesh.n_elements, int(degrees), dtype=np.int64)
-        self.degrees = np.asarray(degrees, dtype=np.int64)
+        degrees = np.asarray(degrees)
+        if not np.issubdtype(degrees.dtype, np.integer):
+            raise ValueError(f"degrees must be integers, got {degrees.dtype}")
+        self.degrees = (np.full(mesh.n_elements, degrees, dtype=np.int64)
+                        if degrees.ndim == 0 else degrees.astype(np.int64))
         if self.degrees.shape != (mesh.n_elements,) or self.degrees.min() < 1:
             raise ValueError("degrees must be a positive int per element")
         self.dirichlet_tags = frozenset(dirichlet_tags)
@@ -64,23 +61,26 @@ class DofHandler:
         if unknown:
             raise ValueError(f"unknown boundary tags {sorted(unknown)}")
 
-        nE, nv = mesh.n_edges, mesh.n_vertices
-
         # minimum rule: conforming degree per edge
-        self.p_conf = np.full(nE, np.iinfo(np.int64).max)
+        self.p_conf = np.full(mesh.n_edges, np.iinfo(np.int64).max)
         np.minimum.at(self.p_conf, mesh.elem_edges.ravel(),
                       np.repeat(self.degrees, 3))
         # larger adjacent degree, used for edge weights in error bounds
-        self.p_edge_max = np.zeros(nE, dtype=np.int64)
+        self.p_edge_max = np.zeros(mesh.n_edges, dtype=np.int64)
         np.maximum.at(self.p_edge_max, mesh.elem_edges.ravel(),
                       np.repeat(self.degrees, 3))
 
-        edge_counts = np.maximum(self.p_conf - 1, 0)
-        self.edge_offset = nv + np.concatenate([[0], np.cumsum(edge_counts)])
+        dirichlet = mesh.edge_kinds(self.dirichlet_tags) == 1
+        fixed = np.zeros(mesh.n_vertices, dtype=bool)
+        fixed[mesh.edges[dirichlet].ravel()] = True
+        self.vertex_dof = np.where(fixed, -1, np.cumsum(~fixed) - 1)
+        edge_counts = np.where(dirichlet, 0, np.maximum(self.p_conf - 1, 0))
+        self.edge_offset = np.count_nonzero(~fixed) + np.concatenate(
+            [[0], np.cumsum(edge_counts)])
         bubble_counts = (self.degrees - 1) * (self.degrees - 2) // 2
         self.bubble_offset = self.edge_offset[-1] + np.concatenate(
             [[0], np.cumsum(bubble_counts)])
-        self.n_full = int(self.bubble_offset[-1])
+        self.n_dofs = int(self.bubble_offset[-1])
 
         # a local edge running against its global edge (lower to higher
         # vertex id) flips the sign of its odd modes
@@ -93,11 +93,12 @@ class DofHandler:
             self.row[ids] = np.arange(ids.size)
             l2g = np.full((ids.size, n_local(p)), -1, dtype=np.int64)
             signs = np.ones((ids.size, n_local(p)))
-            l2g[:, :3] = mesh.elements[ids]
+            l2g[:, :3] = self.vertex_dof[mesh.elements[ids]]
+            signs[:, :3] = l2g[:, :3] >= 0
             if p >= 2:
                 e = mesh.elem_edges[ids][:, :, None]
                 kk = np.arange(2, p + 1)
-                present = kk <= self.p_conf[e]
+                present = kk - 2 < edge_counts[e]
                 odd_flip = reversed_edge[ids][:, :, None] & (kk % 2 == 1)
                 idx = edge_mode_indices(p)
                 l2g[:, idx] = np.where(present, self.edge_offset[e] + kk - 2,
@@ -108,96 +109,21 @@ class DofHandler:
             l2g[:, bi] = self.bubble_offset[ids][:, None] + np.arange(bi.size)
             self.groups[p] = (ids, l2g, signs)
 
-        # Dirichlet constraints: vertex and edge dofs of Dirichlet edges
-        dirichlet = mesh.edge_kinds(self.dirichlet_tags) == 1
-        free = np.ones(self.n_full, dtype=bool)
-        free[mesh.edges[dirichlet].ravel()] = False
-        free[nv:self.edge_offset[-1]] &= ~np.repeat(dirichlet, edge_counts)
-        self.free_mask = free
-        self.free_to_full = np.nonzero(free)[0]
-        self.full_to_free = np.full(self.n_full, -1, dtype=np.int64)
-        self.full_to_free[self.free_to_full] = np.arange(self.free_to_full.size)
-        self.n_dofs = int(self.free_to_full.size)
-
     def gather(self, coeffs, p, rows=slice(None)):
         """Signed local coefficients of the degree-p group (or its rows).
 
-        coeffs has shape (n_full,) or (n_full, m); returns
+        coeffs has shape (n_dofs,) or (n_dofs, m); returns
         (n, n_local(p)) or (n, n_local(p), m), zero on absent modes.
+        Raises ValueError when coeffs does not have n_dofs rows.
         """
+        coeffs = np.asarray(coeffs)
+        if coeffs.shape[:1] != (self.n_dofs,):
+            raise ValueError(f"coefficients need {self.n_dofs} rows, got "
+                             f"shape {coeffs.shape}")
         _, l2g, signs = self.groups[p]
-        local = np.asarray(coeffs)[np.maximum(l2g[rows], 0)]
+        local = coeffs[np.maximum(l2g[rows], 0)]
         s = signs[rows]
         return local * (s if local.ndim == 2 else s[:, :, None])
-
-    def expand(self, reduced):
-        reduced = np.asarray(reduced)
-        out = np.zeros((self.n_full,) + reduced.shape[1:])
-        out[self.free_to_full] = reduced
-        return out
-
-    def restrict(self, full):
-        return np.asarray(full)[self.free_to_full]
-
-    def evaluate(self, coeffs, elems, ref_pts, deriv=0):
-        """Evaluate a coefficient vector on elements at reference points.
-
-        Returns values of shape (len(elems), npts) for deriv=0 or
-        physical gradients (len(elems), npts, 2) for deriv=1.
-        """
-        elems = np.asarray(elems, dtype=np.int64)
-        coeffs = np.asarray(coeffs, dtype=float)
-        Jinv = self.mesh.maps()["Jinv"]
-        npts = np.asarray(ref_pts).shape[0]
-        out = np.zeros((elems.size, npts) if deriv == 0
-                       else (elems.size, npts, 2))
-        for p in np.unique(self.degrees[elems]).tolist():
-            sel = np.nonzero(self.degrees[elems] == p)[0]
-            local = self.gather(coeffs, p, self.row[elems[sel]])
-            sh = tri_shapes(p, ref_pts, nderiv=deriv)
-            if deriv == 0:
-                out[sel] = local @ sh["val"].T
-            else:
-                out[sel] = np.einsum("qld,kl,kde->kqe", sh["grad"], local,
-                                     Jinv[elems[sel]])
-        return out
-
-    def interpolate(self, f):
-        """Coefficients (full numbering) approximating a callable f.
-
-        Vertex values are interpolated; edge and interior modes are
-        L2 projections of the remaining residual, so any f already in
-        the space is reproduced exactly.  f maps points (n, 2) to (n,).
-        """
-        mesh = self.mesh
-        coeffs = np.zeros(self.n_full)
-        coeffs[:mesh.n_vertices] = f(mesh.vertices)
-
-        for p in np.unique(self.p_conf[self.p_conf >= 2]).tolist():
-            es = np.nonzero(self.p_conf == p)[0]
-            a, b = mesh.edges[es, 0], mesh.edges[es, 1]
-            chol, t, w, E = _edge_gram(p)
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            pts = va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
-            resid = (f(pts.reshape(-1, 2)).reshape(es.size, t.size)
-                     - coeffs[a][:, None] * (1 - t) - coeffs[b][:, None] * t)
-            sol = scipy.linalg.cho_solve(chol, E.T @ (w[:, None] * resid.T))
-            coeffs[self.edge_offset[es][:, None] + np.arange(p - 1)] = sol.T
-
-        maps = mesh.maps()
-        for p, (ids, l2g, signs) in self.groups.items():
-            if p < 3:
-                continue
-            ker = reference_kernels(p)
-            phys = maps["origin"][ids, None, :] + np.einsum(
-                "kab,qb->kqa", maps["J"][ids], ker["pts"])
-            bi = bubble_indices(p)
-            edge_part = self.gather(coeffs, p)
-            edge_part[:, bi] = 0.0
-            resid = (f(phys.reshape(-1, 2)).reshape(ids.size, -1)
-                     - edge_part @ ker["V"].T)
-            coeffs[l2g[:, bi]] = resid @ ker["P"][bi].T * signs[:, bi]
-        return coeffs
 
 
 def _copy_blocks(dst, dst_start, src, src_start, counts):
@@ -215,19 +141,25 @@ def transfer(old, new, coeffs):
     one refine call: its parent array indexes old elements, old vertex
     ids are preserved, and every split element is one of the six
     images in mesh.CHILD_POSITIONS of its parent.  New degrees must
-    dominate old degrees elementwise through the parent map.  Otherwise
-    ValueError is raised.  The transferred function is identical as an
-    element of the larger space up to roundoff.
+    dominate old degrees elementwise through the parent map, and both
+    handlers must share their Dirichlet tags.  Otherwise ValueError is
+    raised.  The transferred function is identical as an element of the
+    larger space up to roundoff.
 
-    coeffs uses the old full numbering, shape (n_full,) or (n_full, m);
-    returns the same in the new full numbering.
+    coeffs has shape (old.n_dofs,) or (old.n_dofs, m), else ValueError;
+    returns the same with new.n_dofs rows.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[:1] != (old.n_dofs,):
+        raise ValueError(f"coefficients need {old.n_dofs} rows, got "
+                         f"shape {coeffs.shape}")
+    if old.dirichlet_tags != new.dirichlet_tags:
+        raise ValueError("transfer requires the same Dirichlet tags")
     squeeze = coeffs.ndim == 1
     if squeeze:
         coeffs = coeffs[:, None]
     mo, mn = old.mesh, new.mesh
-    out = np.zeros((new.n_full, coeffs.shape[1]))
+    out = np.zeros((new.n_dofs, coeffs.shape[1]))
 
     # a reused mesh object keeps the parent array of its own creation,
     # so identity is the right element map in that case
@@ -238,8 +170,10 @@ def transfer(old, new, coeffs):
     if np.any(new.degrees < old.degrees[parent]):
         raise ValueError("transfer requires non-decreasing degrees")
 
-    # vertex values survive by hierarchy
-    out[:mo.n_vertices] = coeffs[:mo.n_vertices]
+    # vertex values survive by hierarchy; refinement keeps vertex ids
+    # and moves no vertex onto or off a Dirichlet edge
+    v = np.nonzero(old.vertex_dof >= 0)[0]
+    out[new.vertex_dof[v]] = coeffs[old.vertex_dof[v]]
 
     # surviving edges keep their trace coefficients; edges are sorted
     # vertex pairs over preserved vertex ids, so one code per pair

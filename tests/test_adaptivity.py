@@ -14,6 +14,8 @@ from hpeig.mesh import Mesh, refine, slit_square_grid, square_grid
 from hpeig.quadrature import triangle_rule
 from hpeig.space import DofHandler
 
+from helpers import interpolate
+
 
 def test_mark_fixed_fraction_counts_and_ties():
     equal = np.ones(8)
@@ -42,8 +44,8 @@ def test_analyticity_recovers_planted_decay():
     for s in (0.6, 1.7):
         c = np.zeros(degs.size)
         c[first] = np.exp(-s * np.arange(p + 1))
-        full = handler.interpolate(lambda pts: dubiner(p, pts) @ c)
-        sigma = estimate_analyticity(handler, full[:, None], [0], [0])
+        coeffs = interpolate(handler, lambda pts: dubiner(p, pts) @ c)
+        sigma = estimate_analyticity(handler, coeffs[:, None], [0], [0])
         assert sigma[0] == pytest.approx(s, abs=1e-8)
 
 
@@ -52,8 +54,8 @@ def test_analyticity_resolved_field_is_infinite():
     # block after dropping roundoff blocks and the constant
     mesh = _reference_triangle_mesh()
     handler = DofHandler(mesh, [4], dirichlet_tags=())
-    full = handler.interpolate(lambda pts: 2.0 + 3.0 * pts[:, 0] - pts[:, 1])
-    sigma = estimate_analyticity(handler, full[:, None], [0], [0])
+    coeffs = interpolate(handler, lambda pts: 2.0 + 3.0 * pts[:, 0] - pts[:, 1])
+    sigma = estimate_analyticity(handler, coeffs[:, None], [0], [0])
     assert np.isinf(sigma[0])
 
 
@@ -62,10 +64,10 @@ def test_analyticity_separates_smooth_from_singular():
     # decays algebraically; an entire function decays much faster
     mesh = _reference_triangle_mesh()
     handler = DofHandler(mesh, [6], dirichlet_tags=())
-    smooth = handler.interpolate(
-        lambda pts: np.sin(pts[:, 0] + 2.0 * pts[:, 1]))
-    singular = handler.interpolate(
-        lambda pts: (pts[:, 0]**2 + pts[:, 1]**2)**(1.0 / 3.0))
+    smooth = interpolate(
+        handler, lambda pts: np.sin(pts[:, 0] + 2.0 * pts[:, 1]))
+    singular = interpolate(
+        handler, lambda pts: (pts[:, 0]**2 + pts[:, 1]**2)**(1.0 / 3.0))
     s_smooth = estimate_analyticity(handler, smooth[:, None], [0], [0])[0]
     s_singular = estimate_analyticity(handler, singular[:, None], [0], [0])[0]
     assert s_smooth > s_singular
@@ -73,7 +75,7 @@ def test_analyticity_separates_smooth_from_singular():
     assert s_singular < 1.0
 
 
-def polyfit_analyticity(handler, coeffs_full, elems, members):
+def polyfit_analyticity(handler, coeffs, elems, members):
     """Decay rates fitted one element at a time with np.polyfit."""
     sigmas = np.empty(len(elems))
     for i, (k, mode) in enumerate(zip(elems, members)):
@@ -81,7 +83,7 @@ def polyfit_analyticity(handler, coeffs_full, elems, members):
         pts, w = triangle_rule(2 * p)
         V = tri_shapes(p, pts, nderiv=0)["val"]
         D = dubiner(p, pts)
-        local = handler.gather(coeffs_full[:, mode], p,
+        local = handler.gather(coeffs[:, mode], p,
                                [handler.row[k]])[0]
         coef = D.T @ (w * (V @ local))
         degs = dubiner_degrees(p)
@@ -107,10 +109,10 @@ def test_analyticity_matches_per_element_polyfit():
     # every block within a few decades: an oscillatory field, a random
     # space member, and a linear field that is resolved (+inf) at p >= 3
     fields = np.column_stack([
-        handler.interpolate(lambda x: np.sin(12 * x[:, 0] + 5 * x[:, 1])
-                            * np.cos(9 * x[:, 1])),
-        rng.standard_normal(handler.n_full),
-        handler.interpolate(lambda x: 1.0 + x[:, 0] - 2.0 * x[:, 1]),
+        interpolate(handler, lambda x: np.sin(12 * x[:, 0] + 5 * x[:, 1])
+                    * np.cos(9 * x[:, 1])),
+        rng.standard_normal(handler.n_dofs),
+        interpolate(handler, lambda x: 1.0 + x[:, 0] - 2.0 * x[:, 1]),
     ])
     elems = rng.permutation(mesh.n_elements)
     members = rng.integers(0, 3, elems.size)
@@ -140,8 +142,7 @@ def test_decide_refinements_degree_rules():
             ([1, 4], 4, []),     # cap reached: everything bisects
     ):
         handler = DofHandler(mesh, degrees, dirichlet_tags=())
-        vectors = handler.restrict(
-            handler.interpolate(lambda pts: pts[:, 0] + pts[:, 1]))[:, None]
+        vectors = interpolate(handler, lambda pts: pts[:, 0] + pts[:, 1])[:, None]
         field = _fake_field(handler, [[1.0], [2.0]], [True])
         cfg = AdaptConfig(m=1, p_max=p_max)
         marked = np.array([0, 1])

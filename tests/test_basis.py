@@ -7,7 +7,6 @@ from hpeig.basis import (
     dubiner,
     dubiner_degrees,
     edge_mode_indices,
-    edge_shapes,
     kernel_table,
     layout,
     legendre_table,
@@ -15,6 +14,8 @@ from hpeig.basis import (
     tri_shapes,
 )
 from hpeig.quadrature import triangle_rule
+
+from helpers import edge_shapes
 
 
 def interior_points(n, seed=0):

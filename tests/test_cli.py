@@ -60,10 +60,16 @@ def test_run_m_above_references_exits_2(tmp_path, capsys):
     ("solver", "tol = 0"),
     ("solver", "tol = -1"),
     ("solver", "tol = nan"),
+    ("solver", "seed = -1"),
+    ("problem", "initial_cells = 0"),
+    ("problem", "initial_cells = -2"),
 ])
 def test_run_out_of_range_setting_exits_2(tmp_path, capsys, section, setting):
-    cfg = write_config(tmp_path, "[problem]\nname = square_dirichlet\n\n"
-                                 f"[{section}]\n{setting}\n")
+    # [problem] settings join the name line; a second [problem] header
+    # would be a parse error of its own
+    head = "" if section == "problem" else f"\n[{section}]"
+    cfg = write_config(tmp_path, "[problem]\nname = square_dirichlet\n"
+                                 f"{head}\n{setting}\n")
     assert cli.main(["run", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -150,6 +150,7 @@ m = 8
     ("solver", "tol", "-1"),
     ("solver", "tol", "nan"),
     ("solver", "tol", "inf"),
+    ("solver", "seed", "-1"),
 ])
 def test_out_of_range_run_settings_rejected(tmp_path, section, key, value):
     with pytest.raises(ConfigError):
@@ -159,4 +160,14 @@ name = square_dirichlet
 
 [{section}]
 {key} = {value}
+"""))
+
+
+@pytest.mark.parametrize("cells", ["0", "-2"])
+def test_nonpositive_initial_cells_rejected(tmp_path, cells):
+    with pytest.raises(ConfigError, match="initial_cells"):
+        parse_config(write(tmp_path, f"""
+[problem]
+name = square_dirichlet
+initial_cells = {cells}
 """))

@@ -17,6 +17,8 @@ from hpeig.problems import problem
 from hpeig.quadrature import interval_rule, triangle_rule
 from hpeig.space import DofHandler
 
+from helpers import boundary_tag_dict, interpolate
+
 
 def quadrant_region(c):
     return (c[:, 0] >= 0.5).astype(int) + 2 * (c[:, 1] >= 0.5).astype(int)
@@ -67,9 +69,9 @@ def test_element_residual_matches_fine_quadrature():
             cr = 1.2
         return (mu - cr) * u(x, y) + div
 
-    full = handler.interpolate(lambda pts: u(pts[:, 0], pts[:, 1]))
+    coeffs = interpolate(handler, lambda pts: u(pts[:, 0], pts[:, 1]))
     got = estimator.element_residual_norms(
-        handler, full[:, None], np.array([mu]), co)
+        handler, coeffs[:, None], np.array([mu]), co)
 
     pts, w = triangle_rule(12)
     maps = mesh.maps()
@@ -100,10 +102,10 @@ def test_hat_function_jumps_by_hand():
     mesh = _two_triangle_square()
     handler = DofHandler(mesh, [1, 1], dirichlet_tags=())
     co = Coefficients(c=5.0)
-    full = np.zeros(handler.n_full)
-    full[0] = 1.0
+    coeffs = np.zeros(handler.n_dofs)
+    coeffs[0] = 1.0
     kinds = mesh.edge_kinds(())
-    jumps = estimator.edge_jump_norms(handler, full[:, None], co, kinds)
+    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co, kinds)
 
     diag = _edge_id(mesh, 0, 2)
     assert jumps[diag, 0] == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-13)
@@ -114,8 +116,7 @@ def test_hat_function_jumps_by_hand():
 
     # with c matching the eigenvalue the strong residual vanishes, so
     # the indicator is pure edge terms: 1/2 * sqrt2 * 2 sqrt2 + 1 * 1
-    field = estimator.estimate(handler, handler.restrict(full)[:, None],
-                               np.array([5.0]), co)
+    field = estimator.estimate(handler, coeffs[:, None], np.array([5.0]), co)
     assert field.local[:, 0] == pytest.approx([3.0, 3.0], rel=1e-13)
     assert field.total == pytest.approx(6.0 / 5.0, rel=1e-13)
     assert field.element_totals == pytest.approx([0.6, 0.6], rel=1e-13)
@@ -128,9 +129,9 @@ def test_smooth_field_has_no_interior_jumps():
     mesh = square_grid(4, region_fn=quadrant_region)
     handler = DofHandler(mesh, np.full(mesh.n_elements, 2), dirichlet_tags=())
     co = Coefficients(A=[[2.0, 1.0], [1.0, 3.0]], c=0.0)
-    full = handler.interpolate(lambda p: p[:, 0]**2 + 3 * p[:, 0] * p[:, 1] + 2 * p[:, 1]**2)
+    coeffs = interpolate(handler, lambda p: p[:, 0]**2 + 3 * p[:, 0] * p[:, 1] + 2 * p[:, 1]**2)
     kinds = mesh.edge_kinds(())
-    jumps = estimator.edge_jump_norms(handler, full[:, None], co, kinds)
+    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co, kinds)
     interior = kinds == 0
     assert np.max(jumps[interior, 0]) < 1e-24
 
@@ -164,9 +165,9 @@ def test_material_interface_jump():
     handler = DofHandler(mesh, np.ones(mesh.n_elements, dtype=int),
                          dirichlet_tags=())
     co = Coefficients(A=[np.eye(2), 3.0 * np.eye(2)], c=[0.0, 0.0])
-    full = handler.interpolate(lambda p: p[:, 0])
+    coeffs = interpolate(handler, lambda p: p[:, 0])
     kinds = mesh.edge_kinds(())
-    jumps = estimator.edge_jump_norms(handler, full[:, None], co, kinds)
+    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co, kinds)
     mids = mesh.vertices[mesh.edges].mean(axis=1)
     on_interface = (np.abs(mesh.vertices[mesh.edges][:, :, 0] - 0.5) < 1e-12).all(axis=1)
     assert on_interface.sum() == 2
@@ -196,10 +197,9 @@ def test_estimate_bookkeeping_and_zero_mode():
     assert field.element_totals == pytest.approx(field.local[:, 1] / 20.0)
 
     # recombine the parts with the stated weights
-    full = handler.expand(coeffs)
     kinds = mesh.edge_kinds(handler.dirichlet_tags)
-    res = estimator.element_residual_norms(handler, full, values, co)
-    jumps = estimator.edge_jump_norms(handler, full, co, kinds)
+    res = estimator.element_residual_norms(handler, coeffs, values, co)
+    jumps = estimator.edge_jump_norms(handler, coeffs, co, kinds)
     w = mesh.edge_length / handler.p_edge_max
     w = np.where(kinds == 0, 0.5 * w, np.where(kinds == 2, w, 0.0))
     want = (mesh.h / degrees)[:, None] ** 2 * res + np.einsum(
@@ -209,6 +209,15 @@ def test_estimate_bookkeeping_and_zero_mode():
 
     with pytest.raises(ValueError):
         estimator.estimate(handler, coeffs, np.array([1.0]), co)
+
+
+def test_estimate_checks_vector_length():
+    mesh = square_grid(3)
+    handler = DofHandler(mesh, 2, dirichlet_tags=("boundary",))
+    # a vector over every dof, Dirichlet ones included, is too long
+    full = np.ones((DofHandler(mesh, 2).n_dofs, 1))
+    with pytest.raises(ValueError, match="rows"):
+        estimator.estimate(handler, full, np.array([1.0]), Coefficients())
 
 
 def test_estimator_tracks_error_under_refinement():
@@ -375,14 +384,14 @@ def test_table_products_match_einsum_reference(case):
     mesh, degrees, dirichlet, co = case()
     handler = DofHandler(mesh, degrees, dirichlet_tags=dirichlet)
     rng = np.random.default_rng(3)
-    full = handler.expand(rng.standard_normal((handler.n_dofs, 3)))
+    coeffs = rng.standard_normal((handler.n_dofs, 3))
     values = np.array([0.5, 20.0, 75.0])
     kinds = mesh.edge_kinds(handler.dirichlet_tags)
     pairs = [
-        (estimator.element_residual_norms(handler, full, values, co),
-         _einsum_residual_norms(handler, full, values, co)),
-        (estimator.edge_jump_norms(handler, full, co, kinds),
-         _einsum_jump_norms(handler, full, co, kinds)),
+        (estimator.element_residual_norms(handler, coeffs, values, co),
+         _einsum_residual_norms(handler, coeffs, values, co)),
+        (estimator.edge_jump_norms(handler, coeffs, co, kinds),
+         _einsum_jump_norms(handler, coeffs, co, kinds)),
     ]
     for got, want in pairs:
         scale = np.max(np.abs(want), axis=0)
@@ -395,7 +404,7 @@ def _renumbered(mesh, perm, rot):
     """The same mesh with elements permuted and their vertices rotated."""
     cycle = (np.arange(3)[None, :] + rot[:, None]) % 3
     elements = np.take_along_axis(mesh.elements[perm], cycle, axis=1)
-    return Mesh(mesh.vertices, elements, mesh.boundary_tag_dict(),
+    return Mesh(mesh.vertices, elements, boundary_tag_dict(mesh),
                 region=mesh.region[perm])
 
 
@@ -420,11 +429,10 @@ def test_estimate_independent_of_element_order(seed, n, dirichlet):
     fields = []
     for msh, deg in ((mesh, degrees), (other, degrees[perm])):
         handler = DofHandler(msh, deg, dirichlet_tags=tags)
-        cols = [handler.interpolate(
-            lambda x, ci=ci: sum(a * x[:, 0]**i * x[:, 1]**j
-                                 for a, (i, j) in zip(ci, powers)))
-            for ci in c]
-        coeffs = handler.restrict(np.column_stack(cols))
+        coeffs = np.column_stack([interpolate(
+            handler, lambda x, ci=ci: sum(a * x[:, 0]**i * x[:, 1]**j
+                                          for a, (i, j) in zip(ci, powers)))
+            for ci in c])
         fields.append(estimator.estimate(handler, coeffs, values, co))
     first, second = fields
     np.testing.assert_allclose(second.mode_totals, first.mode_totals,
