@@ -62,10 +62,11 @@ class Coefficients:
 
 @functools.lru_cache(maxsize=None)
 def reference_kernels(p):
-    """Cached reference tables for degree p, the one such cache.
+    """Cached reference tables for degree p on the triangle.
 
-    Returns dict with quadrature (pts, w) exact to degree 2p, value
-    table V (nq, nl), gradient tables G (nq, nl, 2), hessian table
+    The estimator's edge-gradient tables (estimator._edge_gradients)
+    are the one other such cache.  Returns dict with quadrature
+    (pts, w) exact to degree 2p, value table V (nq, nl), hessian table
     H (nq, nl, 3), stiffness blocks S (2, 2, nl, nl), mass M (nl, nl),
     the orthonormal modal table D (nq, nl), the L2 projector
     P = M^-1 V^T W (nl, nq) and the child tables C (6, nl, nl):
@@ -73,8 +74,8 @@ def reference_kernels(p):
     degree-p function on a parent to its coefficients on that child.
     Assembly reads S, M and V; the estimator's interior residual reads
     V and H; transfer reads C, whose leading n_local(q) columns serve a
-    degree-q parent; the hp
-    decision projects onto the modal basis with V, w and D.
+    degree-q parent; the hp decision projects onto the modal basis with
+    V, w and D.
     """
     pts, w = triangle_rule(2 * p)
     sh = tri_shapes(p, pts, nderiv=2)
@@ -90,7 +91,7 @@ def reference_kernels(p):
                                 CHILD_POSITIONS[:, 1:] - corner)
     V_child = tri_shapes(p, images.reshape(-1, 2), nderiv=0)["val"]
     C = P @ V_child.reshape(6, pts.shape[0], -1)
-    return {"pts": pts, "w": w, "V": V, "G": G, "H": H, "S": S, "M": M,
+    return {"pts": pts, "w": w, "V": V, "H": H, "S": S, "M": M,
             "D": dubiner(p, pts), "P": P, "C": C}
 
 

@@ -2,7 +2,9 @@
 
 A run file has a [problem] section naming the benchmark and optional
 [adapt] and [solver] sections overriding the defaults in AdaptConfig.
-Unknown sections or keys are rejected so typos fail loudly.
+Unknown sections or keys are rejected so typos fail loudly.  The initial
+mesh and space are built once, so a mesh the problem's builder rejects,
+or a space with fewer than m dofs, fails here too.
 """
 
 import configparser
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 
 from .adaptivity import AdaptConfig
 from .problems import problem
+from .space import DofHandler
 from .spectra import registry
 
 
@@ -30,6 +33,8 @@ _ADAPT_KEYS = {"m": int, "theta": float, "sigma0": float, "p_max": int,
                "p_init": int, "dof_budget": int, "mode": str,
                "max_steps": int}
 _SOLVER_KEYS = {"tol": float, "max_iter": int, "seed": int}
+_SOLVER_FIELDS = {"tol": "solver_tol", "max_iter": "solver_max_iter",
+                  "seed": "seed"}
 
 
 def _section(parser, name, allowed):
@@ -80,11 +85,8 @@ def parse_config(path):
 
     adapt = _section(parser, "adapt", _ADAPT_KEYS)
     solver = _section(parser, "solver", _SOLVER_KEYS)
-    kwargs = {"m": spec.m}
-    kwargs.update(adapt)
-    kwargs["solver_tol"] = solver.get("tol", 1e-10)
-    kwargs["solver_max_iter"] = solver.get("max_iter", 500)
-    kwargs["seed"] = solver.get("seed", 0)
+    kwargs = {"m": spec.m, **adapt}
+    kwargs.update((_SOLVER_FIELDS[k], v) for k, v in solver.items())
     try:
         cfg = AdaptConfig(**kwargs)
     except ValueError as exc:
@@ -93,4 +95,12 @@ def parse_config(path):
     if cfg.m > n_refs:
         raise ConfigError(f"m = {cfg.m} exceeds the {n_refs} reference "
                           f"eigenvalues of problem {spec.key!r}")
+    try:
+        mesh = spec.mesh(cells)
+    except ValueError as exc:
+        raise ConfigError(f"initial_cells = {cells}: {exc}") from exc
+    handler = DofHandler(mesh, cfg.p_init, spec.dirichlet_tags)
+    if handler.n_dofs < cfg.m:
+        raise ConfigError(f"the initial space has {handler.n_dofs} dofs, "
+                          f"fewer than m = {cfg.m}")
     return RunSetup(problem_key=spec.key, initial_cells=cells, config=cfg)

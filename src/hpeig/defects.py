@@ -32,15 +32,11 @@ from .mesh import uniform_refine
 from .space import DofHandler, transfer
 
 
-def fine_handler(handler, refine_mesh=True, increment=2):
-    """Surrogate space: uniformly bisected mesh, degrees raised."""
-    if refine_mesh:
-        mesh = uniform_refine(handler.mesh)
-        degrees = handler.degrees[mesh.parent] + increment
-    else:
-        mesh = handler.mesh
-        degrees = handler.degrees + increment
-    return DofHandler(mesh, degrees, handler.dirichlet_tags)
+def fine_handler(handler):
+    """Surrogate space: mesh bisected once, every degree raised by two."""
+    mesh = uniform_refine(handler.mesh)
+    return DofHandler(mesh, handler.degrees[mesh.parent] + 2,
+                      handler.dirichlet_tags)
 
 
 def prolong(handler, fine, vectors):
@@ -83,8 +79,7 @@ def _check_coercive(handler, co):
                          "positive zero-order coefficient")
 
 
-def defect_report(handler, co, values, vectors, refine_mesh=True,
-                  increment=2):
+def defect_report(handler, co, values, vectors):
     """Compute the defect spectrum of the given eigenpairs.
 
     values and vectors are the computed cluster on handler's space
@@ -93,8 +88,7 @@ def defect_report(handler, co, values, vectors, refine_mesh=True,
     """
     _check_coercive(handler, co)
     values = np.asarray(values, dtype=float)
-    fine = fine_handler(handler, refine_mesh=refine_mesh,
-                        increment=increment)
+    fine = fine_handler(handler)
     Bf = assemble_stiffness(fine, co)
     P = prolong(handler, fine, vectors)
     loads = assemble_load(fine, P)

@@ -120,18 +120,12 @@ class DofHandler:
         if coeffs.shape[:1] != (self.n_dofs,):
             raise ValueError(f"coefficients need {self.n_dofs} rows, got "
                              f"shape {coeffs.shape}")
+        if not self.n_dofs:  # every mode is absent
+            coeffs = np.zeros((1,) + coeffs.shape[1:])
         _, l2g, signs = self.groups[p]
         local = coeffs[np.maximum(l2g[rows], 0)]
         s = signs[rows]
         return local * (s if local.ndim == 2 else s[:, :, None])
-
-
-def _copy_blocks(dst, dst_start, src, src_start, counts):
-    """dst[dst_start[i] + j] = src[src_start[i] + j] for j < counts[i]."""
-    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                                 counts)
-    dst[np.repeat(dst_start, counts) + within] = \
-        src[np.repeat(src_start, counts) + within]
 
 
 def transfer(old, new, coeffs):
@@ -144,7 +138,10 @@ def transfer(old, new, coeffs):
     dominate old degrees elementwise through the parent map, and both
     handlers must share their Dirichlet tags.  Otherwise ValueError is
     raised.  The transferred function is identical as an element of the
-    larger space up to roundoff.
+    larger space up to roundoff.  Each class of new elements (whole or
+    child position, old degree, new degree) applies one table to its
+    parents' coefficients: the identity to whole elements, which keep
+    their parent's vertices, and reference_kernels(p)["C"] to children.
 
     coeffs has shape (old.n_dofs,) or (old.n_dofs, m), else ValueError;
     returns the same with new.n_dofs rows.
@@ -170,30 +167,8 @@ def transfer(old, new, coeffs):
     if np.any(new.degrees < old.degrees[parent]):
         raise ValueError("transfer requires non-decreasing degrees")
 
-    # vertex values survive by hierarchy; refinement keeps vertex ids
-    # and moves no vertex onto or off a Dirichlet edge
-    v = np.nonzero(old.vertex_dof >= 0)[0]
-    out[new.vertex_dof[v]] = coeffs[old.vertex_dof[v]]
-
-    # surviving edges keep their trace coefficients; edges are sorted
-    # vertex pairs over preserved vertex ids, so one code per pair
-    # matches them
-    code = np.array([mn.n_vertices, 1])
-    _, e_new, e_old = np.intersect1d(mn.edges @ code, mo.edges @ code,
-                                     assume_unique=True, return_indices=True)
-    _copy_blocks(out, new.edge_offset[e_new], coeffs, old.edge_offset[e_old],
-                 np.diff(old.edge_offset)[e_old])
-
-    # unrefined elements: bubble blocks embed by the degree-prefix layout
-    same = np.all(mn.elements == mo.elements[parent], axis=1)
-    kept = np.nonzero(same)[0]
-    _copy_blocks(out, new.bubble_offset[kept], coeffs,
-                 old.bubble_offset[parent[kept]],
-                 np.diff(old.bubble_offset)[parent[kept]])
-
-    # refined elements: find each one's position in its parent from its
-    # vertices, then apply that position's child table
-    split = np.nonzero(~same)[0]
+    pos = np.where(np.all(mn.elements == mo.elements[parent], axis=1), -1, 0)
+    split = np.nonzero(pos >= 0)[0]
     maps = mo.maps()
     kp = parent[split]
     ref = np.einsum("kab,kvb->kva", maps["Jinv"][kp],
@@ -202,15 +177,18 @@ def transfer(old, new, coeffs):
     match = np.all(np.abs(ref[:, None] - CHILD_POSITIONS) < 1e-8, axis=(2, 3))
     if not np.all(match.any(axis=1)):
         raise ValueError("new mesh is not one refine call from the old one")
-    pos = match.argmax(axis=1)
-    p_old, p_new = old.degrees[kp], new.degrees[split]
-    for po, pn, i in sorted(set(zip(p_old.tolist(), p_new.tolist(),
-                                    pos.tolist()))):
-        sel = (p_old == po) & (p_new == pn) & (pos == i)
-        table = reference_kernels(pn)["C"][i, :, :n_local(po)]
-        d = table @ old.gather(coeffs, po, old.row[kp[sel]])
+    pos[split] = match.argmax(axis=1)
+    # whole elements write first, then split classes in (old degree, new
+    # degree, position) order: a shared dof keeps the last class's value
+    p_old, p_new = old.degrees[parent], new.degrees
+    for _, po, pn, i in sorted(set(zip((pos >= 0).tolist(), p_old.tolist(),
+                                       p_new.tolist(), pos.tolist()))):
+        table = (np.eye(n_local(pn), n_local(po)) if i < 0
+                 else reference_kernels(pn)["C"][i, :, :n_local(po)])
+        sel = np.nonzero((p_old == po) & (p_new == pn) & (pos == i))[0]
+        d = table @ old.gather(coeffs, po, old.row[parent[sel]])
         _, l2g, signs = new.groups[pn]
-        g, s = l2g[new.row[split[sel]]], signs[new.row[split[sel]]]
+        g, s = l2g[new.row[sel]], signs[new.row[sel]]
         ok = g >= 0
         out[g[ok]] = d[ok] * s[ok][:, None]
 

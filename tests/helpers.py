@@ -1,5 +1,6 @@
 """Test helpers: evaluation and interpolation of discrete fields, edge
-traces, and a mesh's boundary tags in the form Mesh takes them.
+traces, a mesh's boundary tags in the form Mesh takes them, and an
+earlier transfer that copies vertex, edge and bubble blocks.
 
 The library never evaluates a field at arbitrary points or builds one
 from a callable; the tests do both to check it independently.
@@ -11,7 +12,8 @@ import numpy as np
 import scipy.linalg
 
 from hpeig.assembly import reference_kernels
-from hpeig.basis import bubble_indices, kernel_table, tri_shapes
+from hpeig.basis import bubble_indices, kernel_table, n_local, tri_shapes
+from hpeig.mesh import CHILD_POSITIONS
 from hpeig.quadrature import interval_rule
 from hpeig.space import DofHandler
 
@@ -110,3 +112,65 @@ def boundary_tag_dict(mesh):
     b = mesh.boundary_mask
     tags = np.array(mesh.tag_names)[mesh.edge_tag[b]]
     return dict(zip(map(tuple, mesh.edges[b].tolist()), tags.tolist()))
+
+
+def _copy_blocks(dst, dst_start, src, src_start, counts):
+    """dst[dst_start[i] + j] = src[src_start[i] + j] for j < counts[i]."""
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+    dst[np.repeat(dst_start, counts) + within] = \
+        src[np.repeat(src_start, counts) + within]
+
+
+def reference_transfer(old, new, coeffs):
+    """space.transfer as it was with separate copy paths.
+
+    Vertex values, the trace blocks of surviving edges and the bubble
+    blocks of unsplit elements are copied; split elements then apply
+    their child table per (old degree, new degree, position) class and
+    overwrite the copies on their dofs.  Inputs are assumed valid.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    squeeze = coeffs.ndim == 1
+    if squeeze:
+        coeffs = coeffs[:, None]
+    mo, mn = old.mesh, new.mesh
+    out = np.zeros((new.n_dofs, coeffs.shape[1]))
+    parent = (np.arange(mn.n_elements, dtype=np.int64) if mn is mo
+              else mn.parent)
+
+    v = np.nonzero(old.vertex_dof >= 0)[0]
+    out[new.vertex_dof[v]] = coeffs[old.vertex_dof[v]]
+
+    code = np.array([mn.n_vertices, 1])
+    _, e_new, e_old = np.intersect1d(mn.edges @ code, mo.edges @ code,
+                                     assume_unique=True, return_indices=True)
+    _copy_blocks(out, new.edge_offset[e_new], coeffs, old.edge_offset[e_old],
+                 np.diff(old.edge_offset)[e_old])
+
+    same = np.all(mn.elements == mo.elements[parent], axis=1)
+    kept = np.nonzero(same)[0]
+    _copy_blocks(out, new.bubble_offset[kept], coeffs,
+                 old.bubble_offset[parent[kept]],
+                 np.diff(old.bubble_offset)[parent[kept]])
+
+    split = np.nonzero(~same)[0]
+    maps = mo.maps()
+    kp = parent[split]
+    ref = np.einsum("kab,kvb->kva", maps["Jinv"][kp],
+                    mn.vertices[mn.elements[split]]
+                    - maps["origin"][kp, None, :])
+    match = np.all(np.abs(ref[:, None] - CHILD_POSITIONS) < 1e-8, axis=(2, 3))
+    pos = match.argmax(axis=1)
+    p_old, p_new = old.degrees[kp], new.degrees[split]
+    for po, pn, i in sorted(set(zip(p_old.tolist(), p_new.tolist(),
+                                    pos.tolist()))):
+        sel = (p_old == po) & (p_new == pn) & (pos == i)
+        table = reference_kernels(pn)["C"][i, :, :n_local(po)]
+        d = table @ old.gather(coeffs, po, old.row[kp[sel]])
+        _, l2g, signs = new.groups[pn]
+        g, s = l2g[new.row[split[sel]]], signs[new.row[split[sel]]]
+        ok = g >= 0
+        out[g[ok]] = d[ok] * s[ok][:, None]
+
+    return out[:, 0] if squeeze else out

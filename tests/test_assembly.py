@@ -85,6 +85,13 @@ def test_load_checks_vector_length():
             assemble_load(h, coeffs)
 
 
+def test_load_on_zero_dof_space_is_empty():
+    h = DofHandler(square_grid(1), 1, dirichlet_tags=("boundary",))
+    assert h.n_dofs == 0
+    assert assemble_load(h, np.zeros(0)).shape == (0,)
+    assert assemble_load(h, np.zeros((0, 3))).shape == (0, 3)
+
+
 def test_stiffness_symmetric_positive():
     mesh = square_grid(3)
     h = DofHandler(mesh, 3, dirichlet_tags=("boundary",))

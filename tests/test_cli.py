@@ -76,6 +76,26 @@ def test_run_out_of_range_setting_exits_2(tmp_path, capsys, section, setting):
     assert not (tmp_path / "x.csv").exists()
 
 
+TINY_SPACE = """
+[problem]
+name = square_dirichlet
+initial_cells = 1
+
+[adapt]
+p_init = 2
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "[problem]\nname = slit_square\ninitial_cells = 3\n", TINY_SPACE])
+def test_run_unbuildable_initial_space_exits_2(tmp_path, capsys, body):
+    cfg = write_config(tmp_path, body)
+    assert cli.main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -132,6 +152,12 @@ name = square_neumann
 """)
     assert cli.main(["oracle-check", "--config", cfg]) == 2
     assert "not applicable" in capsys.readouterr().err
+
+
+def test_oracle_check_space_below_m_dofs_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY_SPACE)
+    assert cli.main(["oracle-check", "--config", cfg]) == 2
+    assert "fewer than m" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

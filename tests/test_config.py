@@ -1,5 +1,6 @@
 import pytest
 
+from hpeig.adaptivity import AdaptConfig
 from hpeig.config import ConfigError, parse_config
 
 
@@ -20,6 +21,8 @@ name = square_dirichlet
     assert setup.config.mode == "adaptive"
     assert setup.config.dof_budget == 30000
     assert setup.config.solver_tol == 1e-10
+    # unset [solver] keys take AdaptConfig's defaults
+    assert setup.config == AdaptConfig(m=4)
 
 
 def test_overrides(tmp_path):
@@ -171,3 +174,27 @@ def test_nonpositive_initial_cells_rejected(tmp_path, cells):
 name = square_dirichlet
 initial_cells = {cells}
 """))
+
+
+def test_odd_slit_cells_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="even"):
+        parse_config(write(tmp_path, """
+[problem]
+name = slit_square
+initial_cells = 3
+"""))
+
+
+def test_initial_space_below_m_dofs_rejected(tmp_path):
+    text = """
+[problem]
+name = square_dirichlet
+initial_cells = 1
+
+[adapt]
+p_init = {}
+"""
+    with pytest.raises(ConfigError, match="1 dofs, fewer than m = 4"):
+        parse_config(write(tmp_path, text.format(2)))
+    # degree 3 gives exactly m = 4 dofs, which is enough
+    assert parse_config(write(tmp_path, text.format(3))).config.p_init == 3

@@ -11,7 +11,8 @@ from hpeig.mesh import (Mesh, refine, slit_square_grid, square_grid,
                         triangle_grid, uniform_refine)
 from hpeig.space import DofHandler, transfer
 
-from helpers import boundary_tag_dict, evaluate, interpolate
+from helpers import (boundary_tag_dict, evaluate, interpolate,
+                     reference_transfer)
 
 
 def mixed_degrees(mesh, lo=2, hi=4, seed=0):
@@ -287,6 +288,57 @@ def test_transfer_is_exact_on_refinement(coarse, top, data):
         want = evaluate(h, coeffs, [kp], to_ref(mesh, kp, phys))[0]
         got = evaluate(hf, out, [k], pts)[0]
         assert np.max(np.abs(got - want)) < tol
+
+
+# square_grid(1) under Dirichlet data at degree 1 has no dofs at all
+TABLE_COARSE = {**COARSE, "square_1": lambda: square_grid(1)}
+TABLE_DIRICHLET = {**DIRICHLET, "square_1": DIRICHLET["square"]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(coarse=st.sampled_from(sorted(TABLE_COARSE)), data=st.data())
+def test_transfer_matches_block_copy_reference(coarse, data):
+    mesh = TABLE_COARSE[coarse]()
+    for _ in range(data.draw(st.integers(0, 2))):
+        mesh = refine(mesh, data.draw(st.lists(
+            st.integers(0, mesh.n_elements - 1), max_size=mesh.n_elements)))
+    ne = mesh.n_elements
+    degrees = np.array(data.draw(st.lists(st.integers(1, 8), min_size=ne,
+                                          max_size=ne)))
+    tags = data.draw(st.sampled_from(TABLE_DIRICHLET[coarse]))
+    h = DofHandler(mesh, degrees, tags)
+    if data.draw(st.booleans()):
+        fine = mesh
+    else:
+        fine = refine(mesh, data.draw(st.lists(st.integers(0, ne - 1),
+                                               max_size=ne)))
+    parent = np.arange(ne) if fine is mesh else fine.parent
+    raise_by = np.array(data.draw(st.lists(
+        st.integers(0, 2), min_size=fine.n_elements,
+        max_size=fine.n_elements)))
+    hf = DofHandler(fine, degrees[parent] + raise_by, tags)
+    shape = data.draw(st.sampled_from([(), (1,), (3,)]))
+    coeffs = np.random.default_rng(5).standard_normal((h.n_dofs,) + shape)
+    assert np.array_equal(transfer(h, hf, coeffs),
+                          reference_transfer(h, hf, coeffs))
+
+
+def test_zero_dof_space_gathers_zeros():
+    h = DofHandler(square_grid(1), 1, ("boundary",))
+    assert h.n_dofs == 0
+    assert np.array_equal(h.gather(np.zeros(0), 1), np.zeros((2, 3)))
+    assert np.array_equal(h.gather(np.zeros((0, 2)), 1, [1]),
+                          np.zeros((1, 3, 2)))
+
+
+def test_zero_dof_space_transfers_zeros():
+    mesh = square_grid(1)
+    h = DofHandler(mesh, 1, ("boundary",))
+    hf = DofHandler(uniform_refine(mesh), 2, ("boundary",))
+    assert hf.n_dofs > 0
+    assert np.array_equal(transfer(h, hf, np.zeros((0, 2))),
+                          np.zeros((hf.n_dofs, 2)))
+    assert transfer(h, h, np.zeros(0)).shape == (0,)
 
 
 def test_transfer_pure_degree_increase():
