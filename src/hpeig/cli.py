@@ -21,7 +21,6 @@ from .defects import oracle_checks
 from .eigensolve import SolverError
 from .problems import problem, problem_keys
 from .runner import run_study
-from .space import DofHandler
 from .spectra import registry, verify_references
 
 EXIT_OK = 0
@@ -33,11 +32,10 @@ EXIT_CHECK = 4
 def _cmd_run(args):
     try:
         setup = parse_config(args.config)
+        records, _ = run_study(setup, out_path=args.out, vtk_dir=args.vtk_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        records, _ = run_study(setup, out_path=args.out, vtk_dir=args.vtk_dir)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -73,9 +71,7 @@ def _cmd_oracle_check(args):
         return EXIT_CONFIG
     spec = problem(setup.problem_key)
     cfg = setup.config
-    mesh = spec.mesh(setup.initial_cells)
-    handler = DofHandler(mesh, np.full(mesh.n_elements, cfg.p_init),
-                         dirichlet_tags=spec.dirichlet_tags)
+    handler = setup.handler
     try:
         cluster = solve_cluster(handler, spec.coefficients, cfg)
     except SolverError as exc:

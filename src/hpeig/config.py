@@ -22,10 +22,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunSetup:
-    """A parsed run file: the benchmark plus adaptation parameters."""
+    """A parsed run file: benchmark, adaptation parameters, initial space."""
     problem_key: str
     initial_cells: int
     config: AdaptConfig
+    handler: DofHandler
 
 
 _PROBLEM_KEYS = {"name": str, "initial_cells": int}
@@ -103,4 +104,5 @@ def parse_config(path):
     if handler.n_dofs < cfg.m:
         raise ConfigError(f"the initial space has {handler.n_dofs} dofs, "
                           f"fewer than m = {cfg.m}")
-    return RunSetup(problem_key=spec.key, initial_cells=cells, config=cfg)
+    return RunSetup(problem_key=spec.key, initial_cells=cells, config=cfg,
+                    handler=handler)

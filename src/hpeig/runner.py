@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from .adaptivity import adapt_loop
+from .config import ConfigError
 from .problems import problem
 from .spectra import registry
 from .vtkio import write_vtk
@@ -66,31 +67,35 @@ def run_study(setup, out_path=None, vtk_dir=None, clock=None):
     """Run a configured study; returns (records, rows).
 
     setup is a RunSetup; out_path, when given, receives the CSV log
-    and vtk_dir one mesh snapshot per step.  clock defaults to
-    time.perf_counter.
+    and vtk_dir one mesh snapshot per step.  The CSV is opened and the
+    directory made before the first solve, so an unwritable path is a
+    ConfigError.  clock defaults to time.perf_counter.
     """
     clock = clock or time.perf_counter
     spec = problem(setup.problem_key)
-    mesh = spec.mesh(setup.initial_cells)
     refs, _ = registry(spec.reference).flat(setup.config.m)
-    records, rows = [], []
-    last = clock()
-    for record in adapt_loop(mesh, spec.coefficients, spec.dirichlet_tags,
-                             setup.config):
-        now = clock()
-        rows.append(study_rows(record, refs, now - last))
-        last = now
-        records.append(record)
+    try:
         if vtk_dir is not None:
             os.makedirs(vtk_dir, exist_ok=True)
-            write_vtk(os.path.join(vtk_dir, f"step_{record.step:03d}.vtk"),
-                      record.handler.mesh,
-                      {"region": record.handler.mesh.region,
-                       "degree": record.handler.degrees,
-                       "indicator": record.field.element_totals})
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header(setup.config.m))
-            writer.writerows(rows)
+        fh = open(out_path or os.devnull, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    with fh:
+        records, rows = [], []
+        last = clock()
+        for record in adapt_loop(setup.handler.mesh, spec.coefficients,
+                                 spec.dirichlet_tags, setup.config):
+            now = clock()
+            rows.append(study_rows(record, refs, now - last))
+            last = now
+            records.append(record)
+            if vtk_dir is not None:
+                write_vtk(os.path.join(vtk_dir, f"step_{record.step:03d}.vtk"),
+                          record.handler.mesh,
+                          {"region": record.handler.mesh.region,
+                           "degree": record.handler.degrees,
+                           "indicator": record.field.element_totals})
+        writer = csv.writer(fh)
+        writer.writerow(csv_header(setup.config.m))
+        writer.writerows(rows)
     return records, rows

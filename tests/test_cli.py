@@ -37,6 +37,23 @@ def test_run_small_study(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("out, vtk_dir", [("absent/x.csv", None),
+                                          ("x.csv", "taken")])
+def test_run_unwritable_output_exits_2_before_solving(tmp_path, capsys,
+                                                     monkeypatch, out, vtk_dir):
+    def boom(*a, **kw):
+        raise AssertionError("solved before checking the output paths")
+    monkeypatch.setattr("hpeig.adaptivity.solve_lowest", boom)
+    (tmp_path / "taken").write_text("")
+    argv = ["run", "--config", write_config(tmp_path, SMALL),
+            "--out", str(tmp_path / out)]
+    if vtk_dir:
+        argv += ["--vtk-dir", str(tmp_path / vtk_dir)]
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "[problem]\nname = bogus\n")
     assert cli.main(["run", "--config", cfg,

@@ -5,13 +5,18 @@ import numpy as np
 
 from hpeig.adaptivity import AdaptConfig
 from hpeig.config import RunSetup
+from hpeig.problems import problem
 from hpeig.runner import csv_header, run_study
+from hpeig.space import DofHandler
 from hpeig.spectra import registry
 
 
 def _setup(key, m, budget, **kw):
     cfg = AdaptConfig(m=m, dof_budget=budget, **kw)
-    return RunSetup(problem_key=key, initial_cells=4, config=cfg)
+    spec = problem(key)
+    handler = DofHandler(spec.mesh(4), cfg.p_init, spec.dirichlet_tags)
+    return RunSetup(problem_key=key, initial_cells=4, config=cfg,
+                    handler=handler)
 
 
 class FakeClock:

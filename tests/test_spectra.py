@@ -1,26 +1,30 @@
-"""Reference-spectrum checks against closed forms and scipy.special."""
+"""Reference-spectrum checks against closed forms and mpmath."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpeig
 from hpeig import spectra
 
 
-def test_bessel_against_scipy_grid():
-    # independent implementation (AMOS) as oracle across orders and range
-    for nu in (0.0, 0.25, 0.5, 0.75, 1.0, 1.75, 2.75, 5.0):
-        for x in np.linspace(0.1, 59.9, 73):
+def test_bessel_against_mpmath_grid():
+    # independent 30-digit evaluator as oracle across quarter orders and range
+    for nu in (k / 4.0 for k in range(-2, 21)):
+        for x in [1e-3, *np.linspace(0.1, 59.9, 73), 60.0]:
             got = spectra.bessel_j(nu, float(x))
-            want = scipy.special.jv(nu, x)
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+            with mpmath.workdps(30):
+                want = float(mpmath.besselj(nu, x))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (nu, x)
 
 
 def test_bessel_half_order_closed_forms():
@@ -36,10 +40,10 @@ def test_bessel_value_and_edge_cases():
     assert spectra.bessel_j(0.5, 1.0) == pytest.approx(0.6713967071418031, rel=1e-13)
     assert spectra.bessel_j(0.0, 0.0) == 1.0
     assert spectra.bessel_j(2.0, 0.0) == 0.0
-    # alternating series loses ~25 digits at the right end; still accurate
     assert spectra.bessel_j(0.0, 60.0) == pytest.approx(scipy.special.j0(60.0), rel=1e-11)
-    with pytest.raises(ValueError):
-        spectra.bessel_j(-0.75, 1.0)
+    for nu in (-0.75, math.nan, math.inf):
+        with pytest.raises(ValueError, match="order"):
+            spectra.bessel_j(nu, 1.0)
     with pytest.raises(ValueError):
         spectra.bessel_j(0.0, 61.0)
     with pytest.raises(ValueError):
@@ -68,31 +72,17 @@ def test_bessel_roots_half_order_are_multiples_of_pi():
         assert spectra.bessel_root(0.5, m) == pytest.approx(m * math.pi, abs=1e-12)
 
 
-def test_bessel_roots_fractional_orders_against_scipy():
+def test_bessel_roots_fractional_orders_against_mpmath():
     # independent root finder on the independent evaluator
     for nu in (0.25, 0.75, 1.25, 2.75, 5.0):
-        z = spectra.bessel_root(nu, 1)
-        bracket = scipy.optimize.brentq(lambda x: scipy.special.jv(nu, x),
-                                        z - 0.05, z + 0.05, xtol=1e-14)
-        assert z == pytest.approx(bracket, abs=1e-12)
+        want = float(mpmath.besseljzero(mpmath.mpf(nu), 1))
+        assert spectra.bessel_root(nu, 1) == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
         spectra.bessel_root(5.5, 1)
     with pytest.raises(ValueError):
         spectra.bessel_root(1.0, 11)
     with pytest.raises(ValueError, match="integer"):
         spectra.bessel_root(1.0, 2.5)
-
-
-def test_series_derivative_against_mpmath():
-    # J' = x^(nu-1) (nu P + 2 x^2 P') from the same Horner pass as J
-    for nu in (-0.5, -0.25, 0.0, 0.5, 1.0, 1.75, 3.25, 5.0):
-        for x in np.linspace(1.0, 60.0, 24):
-            x = float(x)
-            p, dp = spectra._series(nu, x)
-            got = mpmath.mpf(x) ** (nu - 1) * (nu * p + 2 * x * x * dp)
-            with mpmath.workdps(30):
-                want = mpmath.besselj(nu, x, derivative=1)
-            assert abs(got - want) <= 1e-13 * abs(want), (nu, x)
 
 
 def mpmath_zero(nu, m):
@@ -180,3 +170,14 @@ def test_verify_references_all_pass_and_fast():
     for c in checks:
         assert c["ok"], c
     assert elapsed < 5.0
+
+
+def test_import_leaves_mpmath_and_scipy_optimize_unloaded():
+    # mpmath is a test-only oracle, and scipy.optimize is slow to import
+    code = ("import sys, hpeig; print(sorted(m for m in ('mpmath', "
+            "'scipy.optimize') if m in sys.modules))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hpeig.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
