@@ -27,6 +27,16 @@ def test_bessel_against_mpmath_grid():
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (nu, x)
 
 
+def test_bessel_against_scipy_grid():
+    # bessel_j is scipy.special.jv behind its validation: across orders and
+    # range the validation must pass every in-domain value through unchanged
+    for nu in (0.0, 0.25, 0.5, 0.75, 1.0, 1.75, 2.75, 5.0):
+        for x in np.linspace(0.1, 59.9, 73):
+            got = spectra.bessel_j(nu, float(x))
+            want = scipy.special.jv(nu, x)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 def test_bessel_half_order_closed_forms():
     for x in np.linspace(0.1, 40.0, 57):
         x = float(x)
