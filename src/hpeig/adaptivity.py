@@ -18,7 +18,7 @@ import numpy as np
 from .assembly import assemble_mass, assemble_stiffness, reference_kernels
 # tri_shapes is no longer called here, but perfbench/spans.py still wraps
 # it in this namespace
-from .basis import dubiner_degrees, tri_shapes  # noqa: F401
+from .basis import tri_shapes  # noqa: F401
 from .eigensolve import solve_lowest
 from .estimator import estimate
 from .mesh import refine
@@ -92,8 +92,11 @@ def mark_fixed_fraction(indicators, theta):
 def estimate_analyticity(handler, coeffs, elems, members):
     """Modal decay rate sigma per (element, member) pair.
 
-    The local field is projected onto the orthonormal modal basis of
-    its element; block norms a_q per polynomial degree decay like
+    The local field is expanded in the L2-orthonormal basis that
+    reference_kernels(p)["R"] maps its local coefficients to; block q
+    has q + 1 entries, and its norm a_q is the size of the field's
+    component in P_q orthogonal to P_(q-1), the same in every
+    orthonormal basis graded by degree.  The a_q decay like
     exp(-sigma q) for analytic fields.  The least-squares fit of
     log a_q against q drops blocks below 1e-14 of the largest and
     ignores the constant block once p >= 3; fewer than two surviving
@@ -107,12 +110,11 @@ def estimate_analyticity(handler, coeffs, elems, members):
     sigmas = np.empty(elems.size)
     for p in np.unique(handler.degrees[elems]).tolist():
         sel = np.nonzero(handler.degrees[elems] == p)[0]
-        ker = reference_kernels(p)
         local = handler.gather(coeffs, p, handler.row[elems[sel]])
         local = local[np.arange(sel.size), :, members[sel]]
-        coef = (local @ ker["V"].T * ker["w"]) @ ker["D"]
+        coef = local @ reference_kernels(p)["R"].T
         q = np.arange(p + 1)
-        a = np.sqrt(coef**2 @ (dubiner_degrees(p)[:, None] == q))
+        a = np.sqrt(coef**2 @ (np.repeat(q, q + 1)[:, None] == q))
         keep = a >= 1e-14 * np.maximum(a.max(axis=1, keepdims=True), 1e-300)
         if p >= 3:
             keep[:, 0] = False
@@ -163,18 +165,19 @@ def solve_cluster(handler, co, cfg, x0=None):
                         max_iter=cfg.solver_max_iter, seed=cfg.seed, x0=x0)
 
 
-def adapt_loop(mesh, co, dirichlet_tags, cfg):
+def adapt_loop(handler, co, cfg):
     """Generate ConvergenceRecords until the dof budget is met.
 
-    Solves are warm-started by carrying the previous cluster through
-    mesh refinement and degree increases.
+    Step 0 solves on handler's space; its mesh, degrees and Dirichlet
+    tags start the loop, so cfg.p_init is not read here.  Solves are
+    warm-started by carrying the previous cluster through mesh
+    refinement and degree increases.
     """
-    degrees = np.full(mesh.n_elements, cfg.p_init, dtype=np.int64)
-    prev = None
+    mesh, degrees = handler.mesh, handler.degrees
+    prev = x0 = None
     for step in range(cfg.max_steps):
-        handler = DofHandler(mesh, degrees, dirichlet_tags)
-        x0 = None
         if prev is not None:
+            handler = DofHandler(mesh, degrees, handler.dirichlet_tags)
             x0 = transfer(prev.handler, handler, prev.cluster.vectors)
         cluster = solve_cluster(handler, co, cfg, x0=x0)
         field = estimate(handler, cluster.vectors, cluster.values, co)

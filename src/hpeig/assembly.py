@@ -20,7 +20,7 @@ import functools
 import numpy as np
 import scipy.sparse
 
-from .basis import dubiner, tri_shapes
+from .basis import tri_shapes
 from .mesh import CHILD_POSITIONS
 from .quadrature import triangle_rule
 
@@ -68,14 +68,20 @@ def reference_kernels(p):
     are the one other such cache.  Returns dict with quadrature
     (pts, w) exact to degree 2p, value table V (nq, nl), hessian table
     H (nq, nl, 3), stiffness blocks S (2, 2, nl, nl), mass M (nl, nl),
-    the orthonormal modal table D (nq, nl), the L2 projector
-    P = M^-1 V^T W (nl, nq) and the child tables C (6, nl, nl):
-    C[i] = P V(images of pts in mesh.CHILD_POSITIONS[i]) maps a
-    degree-p function on a parent to its coefficients on that child.
-    Assembly reads S, M and V; the estimator's interior residual reads
-    V and H; transfer reads C, whose leading n_local(q) columns serve a
-    degree-q parent; the hp decision projects onto the modal basis with
-    V, w and D.
+    the modal table R (nl, nl), the L2 projector P = M^-1 V^T W
+    (nl, nq) and the child tables C (6, nl, nl): C[i] = P V(images of
+    pts in mesh.CHILD_POSITIONS[i]) maps a degree-p function on a
+    parent to its coefficients on that child.
+
+    R maps local coefficients to coefficients in an L2-orthonormal
+    basis graded by degree (R^T R = M): block q, the entries
+    n_local(q-1)..n_local(q)-1, is orthogonal to P_(q-1).  It is the
+    triangular factor of W^(1/2) V T times T^-1, where T swaps lam_0
+    for the constant lam_0 + lam_1 + lam_2, so that the leading
+    n_local(q) columns of V T span P_q.  Assembly reads S, M and V;
+    the estimator's interior residual reads V and H; transfer reads C,
+    whose leading n_local(q) columns serve a degree-q parent; the hp
+    decision reads R.
     """
     pts, w = triangle_rule(2 * p)
     sh = tri_shapes(p, pts, nderiv=2)
@@ -91,8 +97,12 @@ def reference_kernels(p):
                                 CHILD_POSITIONS[:, 1:] - corner)
     V_child = tri_shapes(p, images.reshape(-1, 2), nderiv=0)["val"]
     C = P @ V_child.reshape(6, pts.shape[0], -1)
-    return {"pts": pts, "w": w, "V": V, "H": H, "S": S, "M": M,
-            "D": dubiner(p, pts), "P": P, "C": C}
+    T = np.eye(V.shape[1])
+    T[1:3, 0] = 1.0
+    R = np.linalg.qr(V @ T * sw[:, None], mode="r")
+    R[:, 0] -= R[:, 1:3].sum(axis=1)  # times T^-1
+    return {"pts": pts, "w": w, "V": V, "H": H, "S": S, "M": M, "R": R,
+            "P": P, "C": C}
 
 
 def pulled_back_diffusion(Jinv, A):

@@ -25,9 +25,6 @@ edge orientation carries a sign flip on its odd modes.
 import functools
 
 import numpy as np
-from scipy.special import eval_jacobi
-
-from .quadrature import triangle_rule
 
 # local edge l is opposite local vertex l
 EDGE_VERTICES = ((1, 2), (2, 0), (0, 1))
@@ -182,41 +179,3 @@ def tri_shapes(p, pts, nderiv=1):
         hess = np.einsum("stlq,lsa,ltb->qlab", d2, c, c)
         out["hess"] = hess[:, :, [0, 0, 1], [0, 1, 1]]
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _dubiner_norms(p):
-    pts, w = triangle_rule(2 * p + 2)
-    vals = _dubiner_raw(p, pts)
-    return np.sqrt(np.einsum("qi,qi,q->i", vals, vals, w))
-
-
-@functools.lru_cache(maxsize=None)
-def dubiner_degrees(p):
-    """Total degree of each mode in the degree-p orthonormal basis."""
-    return np.array([q for q in range(p + 1) for _ in range(q + 1)], dtype=np.int64)
-
-
-def _dubiner_raw(p, pts):
-    x, y = pts[:, 0], pts[:, 1]
-    omy = 1.0 - y
-    safe = np.where(omy > 1e-14, omy, 1.0)
-    a = np.where(omy > 1e-14, 2.0 * x / safe - 1.0, 0.0)
-    b = 2.0 * y - 1.0
-    Pa = legendre_table(a, p, nderiv=0)[0]
-    cols = []
-    for q in range(p + 1):
-        for i in range(q + 1):
-            j = q - i
-            cols.append(Pa[i] * omy**i * eval_jacobi(j, 2 * i + 1, 0, b))
-    return np.column_stack(cols)
-
-
-def dubiner(p, pts):
-    """L2-orthonormal polynomial basis on the reference triangle.
-
-    Modes are ordered by total degree q = 0..p, then by the degree of
-    the first factor, matching dubiner_degrees(p).
-    Shape (len(pts), (p+1)(p+2)/2).
-    """
-    return _dubiner_raw(p, np.asarray(pts, dtype=float)) / _dubiner_norms(p)

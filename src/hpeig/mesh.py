@@ -333,13 +333,13 @@ def _unit_square(n):
     return np.column_stack([X.ravel(), Y.ravel()]), cells[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
 
 
-def square_grid(n, region_fn=None, tag="boundary"):
-    """Right-triangle grid on the unit square, n x n cells, 2 n^2 elements."""
+def square_grid(n, region_fn=None):
+    """Unit square, n x n cells, 2 n^2 triangles, boundary tagged "boundary"."""
     vertices, elements = _unit_square(n)
     elements = _normalize(vertices, elements)
     region = None if region_fn is None else region_fn(vertices[elements].mean(axis=1))
-    return Mesh(vertices, elements, _tag_dict(_boundary_edges(elements), tag),
-                region=region)
+    return Mesh(vertices, elements,
+                _tag_dict(_boundary_edges(elements), "boundary"), region=region)
 
 
 def slit_square_grid(n):
@@ -371,8 +371,8 @@ def slit_square_grid(n):
     return Mesh(vertices, elements, _tag_dict(bnd, np.where(on_outer, "outer", "slit")))
 
 
-def triangle_grid(n, side=2.0, tag="boundary"):
-    """Structured subdivision of an equilateral triangle into n^2 cells."""
+def triangle_grid(n, side=2.0):
+    """Equilateral triangle cut into n^2 cells, boundary tagged "boundary"."""
     s = side / n
     rows = []
     verts = []
@@ -391,7 +391,7 @@ def triangle_grid(n, side=2.0, tag="boundary"):
             if j < n - i - 1:
                 elements.append((rows[i][j + 1], rows[i + 1][j + 1], rows[i + 1][j]))
     elements = _normalize(vertices, elements)
-    return Mesh(vertices, elements, _tag_dict(_boundary_edges(elements), tag))
+    return Mesh(vertices, elements, _tag_dict(_boundary_edges(elements), "boundary"))
 
 
 def triangle_hole_grid():

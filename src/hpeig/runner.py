@@ -83,8 +83,8 @@ def run_study(setup, out_path=None, vtk_dir=None, clock=None):
     with fh:
         records, rows = [], []
         last = clock()
-        for record in adapt_loop(setup.handler.mesh, spec.coefficients,
-                                 spec.dirichlet_tags, setup.config):
+        for record in adapt_loop(setup.handler, spec.coefficients,
+                                 setup.config):
             now = clock()
             rows.append(study_rows(record, refs, now - last))
             last = now

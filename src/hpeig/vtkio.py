@@ -8,7 +8,7 @@ per-element data goes into CELL_DATA sections.
 import numpy as np
 
 
-def write_vtk(path, mesh, cell_data=None, title="hpeig step"):
+def write_vtk(path, mesh, cell_data=None):
     """Write a triangle mesh and per-element scalars to a .vtk file.
 
     cell_data maps field names to length-n_elements arrays; integer
@@ -18,7 +18,7 @@ def write_vtk(path, mesh, cell_data=None, title="hpeig step"):
     for name, arr in cell_data.items():
         if len(arr) != mesh.n_elements:
             raise ValueError(f"cell field {name!r} has wrong length")
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "hpeig step", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_vertices} double"]
     for x, y in mesh.vertices:

@@ -1,6 +1,7 @@
 """Test helpers: evaluation and interpolation of discrete fields, edge
-traces, a mesh's boundary tags in the form Mesh takes them, and an
-earlier transfer that copies vertex, edge and bubble blocks.
+traces, a mesh's boundary tags in the form Mesh takes them, an earlier
+transfer that copies vertex, edge and bubble blocks, and the Dubiner
+basis, an orthonormal modal basis made apart from the hierarchical one.
 
 The library never evaluates a field at arbitrary points or builds one
 from a callable; the tests do both to check it independently.
@@ -10,11 +11,13 @@ import functools
 
 import numpy as np
 import scipy.linalg
+from scipy.special import eval_jacobi
 
 from hpeig.assembly import reference_kernels
-from hpeig.basis import bubble_indices, kernel_table, n_local, tri_shapes
+from hpeig.basis import (bubble_indices, kernel_table, legendre_table, n_local,
+                         tri_shapes)
 from hpeig.mesh import CHILD_POSITIONS
-from hpeig.quadrature import interval_rule
+from hpeig.quadrature import interval_rule, triangle_rule
 from hpeig.space import DofHandler
 
 
@@ -174,3 +177,40 @@ def reference_transfer(old, new, coeffs):
         out[g[ok]] = d[ok] * s[ok][:, None]
 
     return out[:, 0] if squeeze else out
+
+
+def dubiner_degrees(p):
+    """Total degree of each mode in the degree-p Dubiner basis."""
+    return np.repeat(np.arange(p + 1), np.arange(1, p + 2))
+
+
+def _dubiner_raw(p, pts):
+    x, y = pts[:, 0], pts[:, 1]
+    omy = 1.0 - y
+    safe = np.where(omy > 1e-14, omy, 1.0)
+    a = np.where(omy > 1e-14, 2.0 * x / safe - 1.0, 0.0)
+    b = 2.0 * y - 1.0
+    Pa = legendre_table(a, p, nderiv=0)[0]
+    cols = []
+    for q in range(p + 1):
+        for i in range(q + 1):
+            j = q - i
+            cols.append(Pa[i] * omy**i * eval_jacobi(j, 2 * i + 1, 0, b))
+    return np.column_stack(cols)
+
+
+@functools.lru_cache(maxsize=None)
+def _dubiner_norms(p):
+    pts, w = triangle_rule(2 * p + 2)
+    vals = _dubiner_raw(p, pts)
+    return np.sqrt(np.einsum("qi,qi,q->i", vals, vals, w))
+
+
+def dubiner(p, pts):
+    """L2-orthonormal polynomial basis on the reference triangle.
+
+    Modes are ordered by total degree q = 0..p, then by the degree of
+    the first factor, matching dubiner_degrees(p).
+    Shape (len(pts), (p+1)(p+2)/2).
+    """
+    return _dubiner_raw(p, np.asarray(pts, dtype=float)) / _dubiner_norms(p)

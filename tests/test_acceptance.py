@@ -30,8 +30,8 @@ def _run_study(key, cfg, cells=None):
     refs = np.array(registry(spec.reference).flat(cfg.m)[0])
     steps = []
     t0 = time.perf_counter()
-    for rec in adapt_loop(spec.mesh(cells), spec.coefficients,
-                          spec.dirichlet_tags, cfg):
+    handler = DofHandler(spec.mesh(cells), cfg.p_init, spec.dirichlet_tags)
+    for rec in adapt_loop(handler, spec.coefficients, cfg):
         values = rec.cluster.values.copy()
         rel = (values - refs) / values
         steps.append({"dofs": rec.n_dofs, "values": values, "rel": rel,
@@ -168,8 +168,8 @@ def test_slit_square_singular_mode():
     best_rel2 = np.inf
     dominated = True
     cfg = AdaptConfig(m=4, dof_budget=9000)
-    for rec in adapt_loop(spec.mesh(), spec.coefficients,
-                          spec.dirichlet_tags, cfg):
+    handler = DofHandler(spec.mesh(), cfg.p_init, spec.dirichlet_tags)
+    for rec in adapt_loop(handler, spec.coefficients, cfg):
         rel = np.abs((rec.cluster.values - refs) / rec.cluster.values)
         best_rel2 = min(best_rel2, rel[1])
         if rel[1] <= max(rel[0], rel[2], rel[3]):
@@ -177,8 +177,8 @@ def test_slit_square_singular_mode():
 
     rates = []
     cfg_u = AdaptConfig(m=4, mode="uniform", p_init=1, dof_budget=6000)
-    for rec in adapt_loop(spec.mesh(), spec.coefficients,
-                          spec.dirichlet_tags, cfg_u):
+    handler = DofHandler(spec.mesh(), cfg_u.p_init, spec.dirichlet_tags)
+    for rec in adapt_loop(handler, spec.coefficients, cfg_u):
         rel2 = abs((rec.cluster.values[1] - refs[1]) / rec.cluster.values[1])
         rates.append((rec.n_dofs, rel2))
     dofs = np.log([d for d, _ in rates])
@@ -194,6 +194,17 @@ def test_slit_square_singular_mode():
           f"step, uniform rate {-slope:.3f}, {seconds:.1f}s")
 
 
+def test_slit_square_dof_path():
+    # the standing result check: any change to marking, the hp decision,
+    # refinement or numbering that moves this study shows here
+    spec = problem("slit_square")
+    cfg = AdaptConfig(m=4, dof_budget=4000)
+    handler = DofHandler(spec.mesh(), cfg.p_init, spec.dirichlet_tags)
+    path = [rec.n_dofs for rec in adapt_loop(handler, spec.coefficients, cfg)]
+    assert path == [52, 72, 97, 145, 230, 390, 577, 706, 946, 1141, 1440,
+                    1751, 2089, 2455, 2826, 3241, 3691, 4158]
+
+
 def test_discontinuous_coefficients():
     outcomes = []
     for key, budget, tol in (("reaction_kappa10", 4000, 1e-6),
@@ -203,8 +214,8 @@ def test_discontinuous_coefficients():
         cfg = AdaptConfig(m=spec.m, dof_budget=budget)
         t0 = time.perf_counter()
         rec = None
-        for rec in adapt_loop(spec.mesh(), spec.coefficients,
-                              spec.dirichlet_tags, cfg):
+        handler = DofHandler(spec.mesh(), cfg.p_init, spec.dirichlet_tags)
+        for rec in adapt_loop(handler, spec.coefficients, cfg):
             pass
         seconds = time.perf_counter() - t0
         worst = float(np.max(np.abs((rec.cluster.values - refs) / refs)))

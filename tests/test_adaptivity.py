@@ -8,13 +8,13 @@ from hpeig.adaptivity import (AdaptConfig, adapt_loop, decide_refinements,
                               estimate_analyticity, mark_fixed_fraction,
                               smooth_degrees)
 from hpeig.assembly import Coefficients
-from hpeig.basis import dubiner, dubiner_degrees, tri_shapes
+from hpeig.basis import tri_shapes
 from hpeig.estimator import IndicatorField
 from hpeig.mesh import Mesh, refine, slit_square_grid, square_grid
 from hpeig.quadrature import triangle_rule
 from hpeig.space import DofHandler
 
-from helpers import interpolate
+from helpers import dubiner, dubiner_degrees, interpolate
 
 
 def test_mark_fixed_fraction_counts_and_ties():
@@ -183,7 +183,8 @@ def test_adapt_loop_square_converges_and_warm_starts():
     mesh = square_grid(4)
     co = Coefficients()
     cfg = AdaptConfig(m=2, dof_budget=900, p_init=2, seed=1)
-    records = list(adapt_loop(mesh, co, ("boundary",), cfg))
+    handler = DofHandler(mesh, cfg.p_init, ("boundary",))
+    records = list(adapt_loop(handler, co, cfg))
     assert len(records) >= 3
     dofs = [r.n_dofs for r in records]
     assert all(b > a for a, b in zip(dofs, dofs[1:]))
@@ -201,7 +202,8 @@ def test_adapt_loop_uniform_mode_bisects_everything():
     mesh = square_grid(2)
     cfg = AdaptConfig(m=1, mode="uniform", p_init=1, dof_budget=120,
                       max_steps=10)
-    records = list(adapt_loop(mesh, Coefficients(), ("boundary",), cfg))
+    handler = DofHandler(mesh, cfg.p_init, ("boundary",))
+    records = list(adapt_loop(handler, Coefficients(), cfg))
     counts = [r.handler.mesh.n_elements for r in records]
     for a, b in zip(counts, counts[1:]):
         assert b == 2 * a
@@ -214,7 +216,8 @@ def test_adapt_loop_slit_mixes_h_and_p():
     mesh = slit_square_grid(4)
     co = Coefficients(c=1.0)
     cfg = AdaptConfig(m=1, dof_budget=1500, p_init=2, seed=0)
-    records = list(adapt_loop(mesh, co, ("outer",), cfg))
+    records = list(adapt_loop(DofHandler(mesh, cfg.p_init, ("outer",)),
+                              co, cfg))
     final = records[-1].handler
     assert final.mesh.n_elements > mesh.n_elements
     assert final.degrees.max() > cfg.p_init
@@ -227,8 +230,10 @@ def test_adapt_loop_slit_mixes_h_and_p():
 def test_adapt_loop_deterministic():
     mesh = square_grid(3)
     cfg = AdaptConfig(m=2, dof_budget=400, seed=3)
-    a = list(adapt_loop(mesh, Coefficients(), ("boundary",), cfg))
-    b = list(adapt_loop(square_grid(3), Coefficients(), ("boundary",), cfg))
+    a = list(adapt_loop(DofHandler(mesh, cfg.p_init, ("boundary",)),
+                        Coefficients(), cfg))
+    b = list(adapt_loop(DofHandler(square_grid(3), cfg.p_init, ("boundary",)),
+                        Coefficients(), cfg))
     assert [r.n_dofs for r in a] == [r.n_dofs for r in b]
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.cluster.values, rb.cluster.values)

@@ -1,11 +1,10 @@
 import numpy as np
 import numpy.polynomial.legendre as npleg
 
+from hpeig.assembly import reference_kernels
 from hpeig.basis import (
     EDGE_VERTICES,
     GRAD_LAMBDA,
-    dubiner,
-    dubiner_degrees,
     edge_mode_indices,
     kernel_table,
     layout,
@@ -15,7 +14,7 @@ from hpeig.basis import (
 )
 from hpeig.quadrature import triangle_rule
 
-from helpers import edge_shapes
+from helpers import dubiner, dubiner_degrees, edge_shapes
 
 
 def interior_points(n, seed=0):
@@ -302,3 +301,39 @@ def test_dubiner_degree_blocks():
     coef = D.T @ (w * f)
     assert np.max(np.abs(coef[deg > 3])) < 1e-12
     assert np.max(np.abs(coef[deg == 3])) > 1e-3
+
+
+# reference_kernels(p)["R"] maps local coefficients to an orthonormal
+# basis graded by degree, the one the hp decision reads; the Dubiner
+# basis above is the independent reference for it.
+def _layout_degrees(p):
+    return np.array([1 if m[0] == "v" else m[2] if m[0] == "e"
+                     else m[1] + m[2] + 3 for m in layout(p)])
+
+
+def test_modal_table_factors_mass():
+    for p in range(1, 13):
+        ker = reference_kernels(p)
+        err = np.max(np.abs(ker["R"].T @ ker["R"] - ker["M"]))
+        assert err <= 1e-13 * np.max(np.abs(ker["M"])), (p, err)
+
+
+def test_modal_table_graded_by_degree():
+    # block q of a row never sees a mode of lower layout degree
+    for p in range(1, 13):
+        R = reference_kernels(p)["R"]
+        above = dubiner_degrees(p)[:, None] > _layout_degrees(p)[None, :]
+        assert np.all(R[above] == 0.0), p
+
+
+def test_modal_table_block_norms_match_dubiner():
+    rng = np.random.default_rng(3)
+    for p in range(1, 13):
+        ker = reference_kernels(p)
+        blocks = dubiner_degrees(p)[:, None] == np.arange(p + 1)
+        for _ in range(3):
+            c = rng.standard_normal(n_local(p)) * np.exp(-_layout_degrees(p))
+            got = np.sqrt((ker["R"] @ c) ** 2 @ blocks)
+            coef = dubiner(p, ker["pts"]).T @ (ker["w"] * (ker["V"] @ c))
+            want = np.sqrt(coef**2 @ blocks)
+            assert np.max(np.abs(got - want)) <= 1e-13 * want.max(), p
