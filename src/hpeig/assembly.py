@@ -12,7 +12,13 @@ contraction of precomputed reference matrices:
     K_loc = sum_ab C_ab S_ab + c detJ M_ref,
     C = detJ Jinv A Jinv^T,   S_ab = G_a^T W G_b
 
-so assembly loops only over degree classes, not elements.
+so each degree group's element matrices are one product: one row
+[C_00, C_01, C_10, C_11, c detJ] per element times the stacked table
+[S; M] (5 x nl^2).  Each element matrix is symmetrized before the sum.
+Two distinct dofs of a conforming mesh share at most two elements, and
+a + b == b + a in floating point, so the summed CSR matrix is exactly
+symmetric without a global A + A^T.  It keeps every element-clique
+entry, zeros included: its pattern depends only on the DofHandler.
 """
 
 import functools
@@ -67,7 +73,8 @@ def reference_kernels(p):
     The estimator's edge-gradient tables (estimator._edge_gradients)
     are the one other such cache.  Returns dict with quadrature
     (pts, w) exact to degree 2p, value table V (nq, nl), hessian table
-    H (nq, nl, 3), stiffness blocks S (2, 2, nl, nl), mass M (nl, nl),
+    H (nq, nl, 3), mass M (nl, nl), the stacked table SM (5, nl, nl)
+    holding the stiffness blocks S_00, S_01, S_10, S_11 and then M,
     the modal table R (nl, nl), the L2 projector P = M^-1 V^T W
     (nl, nq) and the child tables C (6, nl, nl): C[i] = P V(images of
     pts in mesh.CHILD_POSITIONS[i]) maps a degree-p function on a
@@ -78,7 +85,7 @@ def reference_kernels(p):
     n_local(q-1)..n_local(q)-1, is orthogonal to P_(q-1).  It is the
     triangular factor of W^(1/2) V T times T^-1, where T swaps lam_0
     for the constant lam_0 + lam_1 + lam_2, so that the leading
-    n_local(q) columns of V T span P_q.  Assembly reads S, M and V;
+    n_local(q) columns of V T span P_q.  Assembly reads SM, M and V;
     the estimator's interior residual reads V and H; transfer reads C,
     whose leading n_local(q) columns serve a degree-q parent; the hp
     decision reads R.
@@ -86,8 +93,11 @@ def reference_kernels(p):
     pts, w = triangle_rule(2 * p)
     sh = tri_shapes(p, pts, nderiv=2)
     V, G, H = sh["val"], sh["grad"], sh["hess"]
-    S = np.einsum("qia,q,qjb->abij", G, w, G)
+    nl = V.shape[1]
+    G = G.reshape(len(w), 2 * nl)  # column 2 i + a: derivative a of mode i
+    S = ((G * w[:, None]).T @ G).reshape(nl, 2, nl, 2).transpose(1, 3, 0, 2)
     M = (V * w[:, None]).T @ V
+    SM = np.concatenate([S.reshape(4, nl, nl), M[None]])
     # least squares on W^(1/2) V: the condition number of M, 4e13 at
     # p = 12, enters only through its square root
     sw = np.sqrt(w)
@@ -97,53 +107,49 @@ def reference_kernels(p):
                                 CHILD_POSITIONS[:, 1:] - corner)
     V_child = tri_shapes(p, images.reshape(-1, 2), nderiv=0)["val"]
     C = P @ V_child.reshape(6, pts.shape[0], -1)
-    T = np.eye(V.shape[1])
+    T = np.eye(nl)
     T[1:3, 0] = 1.0
     R = np.linalg.qr(V @ T * sw[:, None], mode="r")
     R[:, 0] -= R[:, 1:3].sum(axis=1)  # times T^-1
-    return {"pts": pts, "w": w, "V": V, "H": H, "S": S, "M": M, "R": R,
+    return {"pts": pts, "w": w, "V": V, "H": H, "SM": SM, "M": M, "R": R,
             "P": P, "C": C}
 
 
 def pulled_back_diffusion(Jinv, A):
     """Jinv A Jinv^T per element: A pulled back to the reference element."""
-    return np.einsum("kab,kbc,kdc->kad", Jinv, A, Jinv)
+    return Jinv @ A @ Jinv.transpose(0, 2, 1)
 
 
 def _scatter(handler, build_local):
-    """Assemble a symmetric bilinear form given per-group local matrices."""
+    """CSR sum of the symmetrized per-group element matrices."""
     rows, cols, vals = [], [], []
-    mesh = handler.mesh
-    maps = mesh.maps()
+    maps = handler.mesh.maps()
     for p, (ids, g, s) in handler.groups.items():
         loc = build_local(p, ids, maps)
-        loc = loc * s[:, :, None] * s[:, None, :]
+        loc = (0.5 * (loc + loc.transpose(0, 2, 1))
+               * s[:, :, None] * s[:, None, :])
         r = np.broadcast_to(g[:, :, None], loc.shape)
         c = np.broadcast_to(g[:, None, :], loc.shape)
         ok = (r >= 0) & (c >= 0)
         rows.append(r[ok])
         cols.append(c[ok])
         vals.append(loc[ok])
-    n = handler.n_dofs
-    A = scipy.sparse.coo_matrix(
+    return scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    return 0.5 * (A + A.T)
+        shape=(handler.n_dofs,) * 2).tocsr()
 
 
 def assemble_stiffness(handler, coeffs):
     """Matrix of B(u, v) on the handler's dofs, CSR."""
-    mesh = handler.mesh
-    A_el, c_el = coeffs.on_elements(mesh)
+    A_el, c_el = coeffs.on_elements(handler.mesh)
 
     def build(p, ids, maps):
-        ker = reference_kernels(p)
+        SM = reference_kernels(p)["SM"]
         detJ = maps["detJ"][ids]
         C = detJ[:, None, None] * pulled_back_diffusion(maps["Jinv"][ids],
                                                         A_el[ids])
-        loc = np.einsum("kab,abij->kij", C, ker["S"])
-        loc += (c_el[ids] * detJ)[:, None, None] * ker["M"][None]
-        return loc
+        rows = np.column_stack([C.reshape(-1, 4), c_el[ids] * detJ])
+        return (rows @ SM.reshape(5, -1)).reshape(-1, *SM.shape[1:])
 
     return _scatter(handler, build)
 
@@ -151,8 +157,7 @@ def assemble_stiffness(handler, coeffs):
 def assemble_mass(handler):
     """Matrix of the L2 inner product on the handler's dofs, CSR."""
     def build(p, ids, maps):
-        ker = reference_kernels(p)
-        return maps["detJ"][ids][:, None, None] * ker["M"][None]
+        return maps["detJ"][ids][:, None, None] * reference_kernels(p)["M"]
 
     return _scatter(handler, build)
 
@@ -162,22 +167,25 @@ def assemble_load(handler, coeffs):
 
     coeffs has shape (n_dofs,) or (n_dofs, m), else ValueError; the
     result has the same shape.  Uses pointwise quadrature values of f,
-    independently of the assembled mass matrix.
+    independently of the assembled mass matrix, in two products a group.
     """
-    mesh = handler.mesh
-    maps = mesh.maps()
+    detJ = handler.mesh.maps()["detJ"]
     coeffs = np.asarray(coeffs, dtype=float)
     squeeze = coeffs.ndim == 1
     if squeeze:
         coeffs = coeffs[:, None]
-    out = np.zeros((handler.n_dofs, coeffs.shape[1]))
+    n, m = handler.n_dofs, coeffs.shape[1]
+    dofs, vals = [], []
     for p, (ids, g, s) in handler.groups.items():
         ker = reference_kernels(p)
-        loc = handler.gather(coeffs, p)
-        fvals = np.einsum("ql,klm->kqm", ker["V"], loc)
-        rhs = np.einsum("ql,q,kqm->klm", ker["V"], ker["w"], fvals)
-        rhs *= maps["detJ"][ids][:, None, None]
-        rhs *= s[:, :, None]
+        loc = np.moveaxis(handler.gather(coeffs, p), 1, 0)  # (nl, K, m)
+        fvals = ker["V"] @ loc.reshape(len(loc), -1)
+        rhs = ((ker["V"].T * ker["w"]) @ fvals).reshape(loc.shape)
+        rhs = np.moveaxis(rhs, 1, 0) * (detJ[ids, None] * s)[:, :, None]
         ok = g >= 0
-        np.add.at(out, g[ok], rhs[ok])
+        dofs.append(g[ok])
+        vals.append(rhs[ok])
+    flat = (np.concatenate(dofs)[:, None] * m + np.arange(m)).ravel()
+    out = np.bincount(flat, np.concatenate(vals).ravel(),
+                      minlength=n * m).reshape(n, m)
     return out[:, 0] if squeeze else out

@@ -13,7 +13,9 @@ of A^T + A applied symmetrically, with no pivoting (George and Liu,
 Computer Solution of Large Sparse Positive Definite Systems, 1981).
 It sets relax=1: with SuperLU's default relaxed supernodes the
 16,192-dof p = 2 slit_square stiffness took 0.70 s to factor into 3.8 M
-entries, against 0.05 s and 0.67 M with relax=1.
+entries, against 0.05 s and 0.67 M with relax=1.  SuperLU takes CSC
+input; the transpose of a symmetric CSR matrix is that matrix in CSC
+form and shares its arrays, so each call site passes A.T, not a copy.
 
 ARPACK's Ritz estimates bound the residual of the inverted operator,
 not the relative residual of the pencil that `tol` limits, so ARPACK is
@@ -92,8 +94,8 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
         v0 = rng.standard_normal(n)
     else:
         v0 = np.asarray(x0, dtype=float).reshape(n, -1).sum(axis=1)
-    A = B if shift == 0 else B - shift * M
-    F = scipy.sparse.linalg.splu(A.tocsc(), **SPD_LU)
+    A = (B if shift == 0 else B - shift * M).tocsr()
+    F = scipy.sparse.linalg.splu(A.T, **SPD_LU)
     solves = 0
 
     def inverse(b):

@@ -120,7 +120,7 @@ def edge_jump_norms(handler, coeffs, co, kinds):
     # pulled-back conormal of each local edge: Jinv A n = detJ W n_ref / |e|
     W = pulled_back_diffusion(maps["Jinv"], A_el)
     scale = maps["detJ"][:, None] / mesh.edge_length[mesh.elem_edges]
-    qvec = np.einsum("kab,lb->kla", W, _REF_NORMALS) * scale[..., None]
+    qvec = (W @ _REF_NORMALS.T).transpose(0, 2, 1) * scale[..., None]
     first, second = np.array(LOCAL_EDGES).T
     orient = mesh.elements[:, first] > mesh.elements[:, second]
     # column of each element side in edge_elems; Dirichlet sides are skipped

@@ -171,9 +171,8 @@ def transfer(old, new, coeffs):
     split = np.nonzero(pos >= 0)[0]
     maps = mo.maps()
     kp = parent[split]
-    ref = np.einsum("kab,kvb->kva", maps["Jinv"][kp],
-                    mn.vertices[mn.elements[split]]
-                    - maps["origin"][kp, None, :])
+    ref = (mn.vertices[mn.elements[split]] - maps["origin"][kp, None, :]) \
+        @ maps["Jinv"][kp].transpose(0, 2, 1)
     match = np.all(np.abs(ref[:, None] - CHILD_POSITIONS) < 1e-8, axis=(2, 3))
     if not np.all(match.any(axis=1)):
         raise ValueError("new mesh is not one refine call from the old one")

@@ -1,6 +1,7 @@
 """Test helpers: evaluation and interpolation of discrete fields, edge
 traces, a mesh's boundary tags in the form Mesh takes them, an earlier
-transfer that copies vertex, edge and bubble blocks, and the Dubiner
+transfer that copies vertex, edge and bubble blocks, earlier assembly
+by einsum element matrices and a global symmetrization, and the Dubiner
 basis, an orthonormal modal basis made apart from the hierarchical one.
 
 The library never evaluates a field at arbitrary points or builds one
@@ -11,9 +12,10 @@ import functools
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.special import eval_jacobi
 
-from hpeig.assembly import reference_kernels
+from hpeig.assembly import pulled_back_diffusion, reference_kernels
 from hpeig.basis import (bubble_indices, kernel_table, legendre_table, n_local,
                          tri_shapes)
 from hpeig.mesh import CHILD_POSITIONS
@@ -214,3 +216,67 @@ def dubiner(p, pts):
     Shape (len(pts), (p+1)(p+2)/2).
     """
     return _dubiner_raw(p, np.asarray(pts, dtype=float)) / _dubiner_norms(p)
+
+
+def reference_stiffness_mass(handler, co, absolute=False):
+    """assemble_stiffness and assemble_mass as they were.
+
+    Element matrices are einsum contractions of the cached reference
+    tables, summed as COO and made symmetric by the global
+    0.5 (A + A^T), which drops entries that cancel to zero.  With
+    absolute=True every term enters by its absolute value: the sums
+    then bound the size of the terms each entry adds, the scale of
+    its roundoff.
+    """
+    size = np.abs if absolute else (lambda x: x)
+    mesh = handler.mesh
+    maps = mesh.maps()
+    A_el, c_el = co.on_elements(mesh)
+    parts = {"B": ([], [], []), "M": ([], [], [])}
+    for p, (ids, g, s) in handler.groups.items():
+        ker = reference_kernels(p)
+        S = size(ker["SM"][:4].reshape(2, 2, *ker["M"].shape))
+        M = size(ker["M"])
+        detJ = maps["detJ"][ids]
+        C = size(detJ[:, None, None]
+                 * pulled_back_diffusion(maps["Jinv"][ids], A_el[ids]))
+        stiff = np.einsum("kab,abij->kij", C, S) \
+            + (c_el[ids] * detJ)[:, None, None] * M[None]
+        mass = detJ[:, None, None] * M[None]
+        r = np.broadcast_to(g[:, :, None], mass.shape)
+        c = np.broadcast_to(g[:, None, :], mass.shape)
+        ok = (r >= 0) & (c >= 0)
+        for key, loc in (("B", stiff), ("M", mass)):
+            loc = size(loc * s[:, :, None] * s[:, None, :])
+            parts[key][0].append(r[ok])
+            parts[key][1].append(c[ok])
+            parts[key][2].append(loc[ok])
+    n = handler.n_dofs
+    out = []
+    for rows, cols, vals in parts.values():
+        A = scipy.sparse.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n)).tocsr()
+        out.append(0.5 * (A + A.T))
+    return tuple(out)
+
+
+def reference_load(handler, coeffs):
+    """assemble_load as it was: einsum through the quadrature points and
+    np.add.at into the result."""
+    maps = handler.mesh.maps()
+    coeffs = np.asarray(coeffs, dtype=float)
+    squeeze = coeffs.ndim == 1
+    if squeeze:
+        coeffs = coeffs[:, None]
+    out = np.zeros((handler.n_dofs, coeffs.shape[1]))
+    for p, (ids, g, s) in handler.groups.items():
+        ker = reference_kernels(p)
+        loc = handler.gather(coeffs, p)
+        fvals = np.einsum("ql,klm->kqm", ker["V"], loc)
+        rhs = np.einsum("ql,q,kqm->klm", ker["V"], ker["w"], fvals)
+        rhs *= maps["detJ"][ids][:, None, None]
+        rhs *= s[:, :, None]
+        ok = g >= 0
+        np.add.at(out, g[ok], rhs[ok])
+    return out[:, 0] if squeeze else out

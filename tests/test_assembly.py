@@ -8,12 +8,16 @@ from hpeig.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    pulled_back_diffusion,
+    reference_kernels,
 )
-from hpeig.mesh import Mesh, refine, square_grid
+from hpeig.basis import tri_shapes
+from hpeig.mesh import (Mesh, refine, slit_square_grid, square_grid,
+                        triangle_hole_grid)
 from hpeig.quadrature import triangle_rule
 from hpeig.space import DofHandler
 
-from helpers import evaluate
+from helpers import evaluate, reference_load, reference_stiffness_mass
 
 
 def quadrant_regions(cents):
@@ -126,3 +130,93 @@ def test_coefficients_reject_nonfinite(data, regions):
         flat[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     with pytest.raises(ValueError, match="finite"):
         Coefficients(A=flat[:A.size].reshape(A.shape), c=flat[A.size:])
+
+
+def row_scaled_error(A, ref, scale):
+    """Largest |A - ref| of each row over that row's largest |scale|."""
+    err = abs(A - ref).max(axis=1).toarray().ravel()
+    return np.max(err / abs(scale).max(axis=1).toarray().ravel(), initial=0.0)
+
+
+def test_reference_tables_match_einsum():
+    for p in range(1, 13):
+        pts, w = triangle_rule(2 * p)
+        G = tri_shapes(p, pts, nderiv=1)["grad"]
+        S = np.einsum("qia,q,qjb->abij", G, w, G)
+        size = np.einsum("qia,q,qjb->abij", abs(G), w, abs(G))
+        got = reference_kernels(p)["SM"]
+        assert np.all(abs(got[:4] - S.reshape(got[:4].shape))
+                      <= 1e-15 * size.reshape(got[:4].shape).max())
+        assert np.array_equal(got[4], reference_kernels(p)["M"])
+    rng = np.random.default_rng(3)
+    Jinv = rng.standard_normal((50, 2, 2))
+    A = rng.standard_normal((50, 2, 2))
+    A = A @ A.transpose(0, 2, 1)
+    want = np.einsum("kab,kbc,kdc->kad", Jinv, A, Jinv)
+    size = np.einsum("kab,kbc,kdc->kad", abs(Jinv), abs(A), abs(Jinv))
+    assert np.all(abs(pulled_back_diffusion(Jinv, A) - want) <= 1e-15 * size)
+
+
+BASES = {"square": lambda: square_grid(2),
+         "slit_square": lambda: slit_square_grid(2),
+         "triangle_hole": triangle_hole_grid}
+
+
+@given(base=st.sampled_from(sorted(BASES)), data=st.data())
+def test_assembly_symmetric_and_matches_reference(base, data):
+    mesh = BASES[base]()
+    for _ in range(data.draw(st.integers(0, 2))):
+        mesh = refine(mesh, data.draw(st.lists(
+            st.integers(0, mesh.n_elements - 1), max_size=mesh.n_elements)))
+    ne = mesh.n_elements
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    regions = data.draw(st.integers(1, 3))
+    mesh.region = rng.integers(0, regions, ne)
+    # non-diagonal A per region, eigenvalues 10^-2 .. 10^2
+    Q = np.linalg.qr(rng.standard_normal((regions, 2, 2)))[0]
+    A = Q * 10.0 ** rng.uniform(-2, 2, (regions, 1, 2)) @ Q.transpose(0, 2, 1)
+    co = Coefficients(A=0.5 * (A + A.transpose(0, 2, 1)),
+                      c=rng.uniform(0, 5, regions))
+    tags = [t for t in mesh.tag_names if data.draw(st.booleans())]
+    degrees = np.array(data.draw(st.lists(st.integers(1, 10), min_size=ne,
+                                          max_size=ne)))
+    h = DofHandler(mesh, degrees, tags)
+    B, M = assemble_stiffness(h, co), assemble_mass(h)
+    for shift in (0.0, -1.0, 2.5):
+        assert (B - shift * M != (B - shift * M).T).nnz == 0
+    # roundoff scales with the largest term an entry sums, not the entry
+    for got, want, size in zip((B, M), reference_stiffness_mass(h, co),
+                               reference_stiffness_mass(h, co, True)):
+        assert row_scaled_error(got, want, size) <= 1e-15
+
+
+def test_stiffness_and_mass_share_one_pattern():
+    mesh = refine(square_grid(3), [0, 5, 11])
+    rng = np.random.default_rng(6)
+    mesh.region = rng.integers(0, 2, mesh.n_elements)
+    h = DofHandler(mesh, rng.integers(1, 6, mesh.n_elements), ("boundary",))
+    M = assemble_mass(h)
+    for co in (Coefficients(), Coefficients(c=2.0),
+               Coefficients(A=[np.eye(2), [[10.0, 1.0], [1.0, 2.0]]],
+                            c=[0.0, 3.0])):
+        B = assemble_stiffness(h, co)
+        assert np.array_equal(B.indptr, M.indptr)
+        assert np.array_equal(B.indices, M.indices)
+    # at p = 1 on right triangles, A = I and c = 0 give exact zeros on
+    # the diagonal edges: kept here, dropped by a global A + A^T
+    h1 = DofHandler(square_grid(3), 1)
+    B = assemble_stiffness(h1, Coefficients())
+    assert np.count_nonzero(B.data == 0) > 0
+    assert B.nnz == assemble_mass(h1).nnz
+    assert reference_stiffness_mass(h1, Coefficients())[0].nnz < B.nnz
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (4,)])
+def test_load_matches_einsum_reference(shape):
+    mesh = refine(slit_square_grid(2), [1, 4, 6])
+    rng = np.random.default_rng(9)
+    h = DofHandler(mesh, rng.integers(1, 11, mesh.n_elements), ("outer",))
+    f = rng.standard_normal((h.n_dofs,) + shape)
+    got, want = assemble_load(h, f), reference_load(h, f)
+    assert got.shape == want.shape == f.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()

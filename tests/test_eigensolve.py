@@ -80,28 +80,52 @@ def test_neumann_zero_mode_with_negative_shift():
     assert np.max(np.abs(got.values[1:] / exact[1:] - 1.0)) < 2e-3
 
 
-def oracle_surrogate_stiffness():
+def oracle_surrogate_stiffness(cells=6):
     spec = problem("square_dirichlet")
-    h = DofHandler(spec.mesh(6), 3, spec.dirichlet_tags)
-    return assemble_stiffness(fine_handler(h), spec.coefficients).tocsc()
+    h = DofHandler(spec.mesh(cells), 3, spec.dirichlet_tags)
+    return assemble_stiffness(fine_handler(h), spec.coefficients)
 
 
 def test_spd_factorization_fill():
     B = oracle_surrogate_stiffness()
     assert B.shape[0] == 1741
-    default = scipy.sparse.linalg.splu(B)
-    spd = scipy.sparse.linalg.splu(B, **SPD_LU)
-    # fill is deterministic: 86 k entries against 341 k with the defaults
+    default = scipy.sparse.linalg.splu(B.T)
+    spd = scipy.sparse.linalg.splu(B.T, **SPD_LU)
+    # fill is deterministic: 82 k entries against 352 k with the defaults
     assert 3 * spd.nnz <= default.nnz
+
+
+@pytest.mark.filterwarnings("error")
+def test_spd_fill_on_the_oracle_surrogate():
+    # the 20-cell p = 3 surrogate of the oracle workload: 1,173,378
+    # entries on the element-clique pattern, 1,355,974 when a global
+    # A + A^T had dropped the entries that cancel to zero
+    B = oracle_surrogate_stiffness(20)
+    assert B.shape[0] == 19801
+    assert scipy.sparse.linalg.splu(B.T, **SPD_LU).nnz <= 1_200_000
 
 
 def test_spd_factorization_solves():
     B = oracle_surrogate_stiffness()
-    F = scipy.sparse.linalg.splu(B, **SPD_LU)
+    F = scipy.sparse.linalg.splu(B.T, **SPD_LU)
     b = np.random.default_rng(0).standard_normal((B.shape[0], 4))
     x = F.solve(b)
     rel = np.linalg.norm(B @ x - b, axis=0) / np.linalg.norm(b, axis=0)
     assert rel.max() <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shift", [0.0, -1.0])
+def test_solve_lowest_takes_any_sparse_format(shift):
+    mesh = uniform_refine(square_grid(4), 1)
+    h = DofHandler(mesh, 3, () if shift else ("boundary",))
+    B = assemble_stiffness(h, Coefficients())
+    M = assemble_mass(h)
+    got = [solve_lowest(B.asformat(f), M.asformat(f), 4, shift=shift, seed=0)
+           for f in ("csr", "csc", "coo")]
+    for other in got[1:]:
+        assert np.array_equal(other.values, got[0].values)
+        assert other.fill == got[0].fill
 
 
 def test_warm_start_reduces_iterations():
