@@ -8,7 +8,7 @@ from .defects import (DefectReport, asymptotic_ratio, cluster_bound_check,
                       defect_report, oracle_checks, sin_theta_hs)
 from .eigensolve import EigenCluster, SolverError, solve_lowest
 from .estimator import IndicatorField, effectivity, estimate, total_error
-from .mesh import (Mesh, build_mesh, refine, slit_square_grid, square_grid,
+from .mesh import (Mesh, refine, slit_square_grid, square_grid,
                    triangle_grid, triangle_hole_grid, uniform_refine)
 from .problems import ProblemSpec, problem, problem_keys
 from .runner import run_study
@@ -23,7 +23,7 @@ __all__ = [
     "parse_config", "DefectReport", "asymptotic_ratio",
     "cluster_bound_check", "defect_report", "oracle_checks", "sin_theta_hs",
     "EigenCluster", "SolverError", "solve_lowest", "IndicatorField",
-    "effectivity", "estimate", "total_error", "Mesh", "build_mesh", "refine",
+    "effectivity", "estimate", "total_error", "Mesh", "refine",
     "slit_square_grid", "square_grid", "triangle_grid", "triangle_hole_grid",
     "uniform_refine", "ProblemSpec", "problem", "problem_keys", "run_study",
     "DofHandler", "transfer", "ReferenceSpectrum", "registry",

@@ -24,9 +24,6 @@ from .estimator import estimate
 from .mesh import refine
 from .space import DofHandler, transfer
 
-H_REFINE = "h"
-P_INCREMENT = "p"
-
 
 @dataclass
 class AdaptConfig:

@@ -15,6 +15,10 @@ edges, zero on Dirichlet edges).  p_e is the larger adjacent degree.
 Quadrature points are fixed on the reference element and its edges, so
 both terms are reference tables times local coefficients: one product
 per degree group, or per (degree, local edge, orientation) for edges.
+The orientation, mesh.elem_reversed, also picks each side's flux buffer:
+the two sides of an interior edge run along it in opposite directions.
+The outward normal of reference edge l times its length is -GRAD_LAMBDA[l]:
+lambda_l vanishes on edge l and grows inward at rate 1/height = length.
 
 Totals are correctly rounded sums (math.fsum), so they do not depend
 on element order and reruns or renumberings cannot perturb marking.
@@ -27,16 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import pulled_back_diffusion, reference_kernels
-from .basis import tri_shapes
-from .mesh import LOCAL_EDGES
+from .basis import EDGE_VERTICES, GRAD_LAMBDA, tri_shapes
 from .quadrature import interval_rule
 
 # computed eigenvalues at or below this size are zero modes of pure
 # Neumann problems; value-scaled sums skip them
 ZERO_MODE_TOL = 1e-8
-
-# outward normals of the reference edges, LOCAL_EDGES order, times length
-_REF_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass
@@ -93,7 +93,7 @@ def _edge_gradients(p_max):
     so the first n_local(p) columns are the table of degree p.
     """
     s, _ = interval_rule(2 * p_max + 2)
-    ends = np.eye(3)[:, 1:][[(e, e[::-1]) for e in LOCAL_EDGES]]
+    ends = np.eye(3)[:, 1:][[(e, e[::-1]) for e in EDGE_VERTICES]]
     pts = ends[..., :1, :] * (1.0 - s)[:, None] + ends[..., 1:, :] * s[:, None]
     grad = tri_shapes(p_max, pts.reshape(-1, 2), nderiv=1)["grad"]
     return np.moveaxis(grad.reshape(3, 2, s.size, -1, 2), 4, 2).reshape(
@@ -120,24 +120,19 @@ def edge_jump_norms(handler, coeffs, co, kinds):
     # pulled-back conormal of each local edge: Jinv A n = detJ W n_ref / |e|
     W = pulled_back_diffusion(maps["Jinv"], A_el)
     scale = maps["detJ"][:, None] / mesh.edge_length[mesh.elem_edges]
-    qvec = (W @ _REF_NORMALS.T).transpose(0, 2, 1) * scale[..., None]
-    first, second = np.array(LOCAL_EDGES).T
-    orient = mesh.elements[:, first] > mesh.elements[:, second]
-    # column of each element side in edge_elems; Dirichlet sides are skipped
-    slot = (mesh.edge_elems[mesh.elem_edges, 1]
-            == np.arange(mesh.n_elements)[:, None]).astype(np.int64)
-    on = kinds[mesh.elem_edges] != 1
+    qvec = (W @ -GRAD_LAMBDA.T).transpose(0, 2, 1) * scale[..., None]
+    on = kinds[mesh.elem_edges] != 1  # Dirichlet sides are skipped
 
     flux = np.zeros((2, mesh.n_edges, wq.size, m))
     for p, (ids, _, _) in handler.groups.items():
         U = np.moveaxis(handler.gather(coeffs, p), 1, 0)
         for l, o in np.ndindex(3, 2):
-            sel = np.nonzero(on[ids, l] & (orient[ids, l] == o))[0]
+            sel = np.nonzero(on[ids, l] & (mesh.elem_reversed[ids, l] == o))[0]
             k = ids[sel]
             V = U[:, sel].reshape(len(U), -1)
             G = (tables[l, o, :, :len(V)] @ V).reshape(2, wq.size, sel.size, m)
             q = qvec[k, l]
-            flux[slot[k, l], mesh.elem_edges[k, l]] = np.moveaxis(
+            flux[o, mesh.elem_edges[k, l]] = np.moveaxis(
                 q[:, 0, None] * G[0] + q[:, 1, None] * G[1], 1, 0)
     jump = flux[0] + flux[1]
     return mesh.edge_length[:, None] * np.einsum("q,eqm->em", wq, jump**2)

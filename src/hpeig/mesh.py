@@ -30,8 +30,7 @@ them: renumbering elements or edges changes results in the last digits.
 
 import numpy as np
 
-# local edge l is opposite local vertex l, same convention as the basis
-LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
+from .basis import EDGE_VERTICES
 
 
 def _edge_table(elements):
@@ -42,7 +41,7 @@ def _edge_table(elements):
     element and local edge of each side of an edge in that same order,
     -1 in the second column for boundary edges.
     """
-    sides = np.sort(elements[:, np.array(LOCAL_EDGES)], axis=2).reshape(-1, 2)
+    sides = np.sort(elements[:, np.array(EDGE_VERTICES)], axis=2).reshape(-1, 2)
     code = sides[:, 0] * (elements.max(initial=0) + 1) + sides[:, 1]
     _, first, inverse, count = np.unique(
         code, return_index=True, return_inverse=True, return_counts=True)
@@ -93,12 +92,15 @@ class Mesh:
     parent : ndarray (ne,), optional
         Element id in the mesh this one was refined from (identity for
         meshes built from scratch).
-    level : ndarray (ne,), optional
-        Bisection generation count.
+
+    Global edges run from the lower to the higher vertex id, and
+    elem_reversed[k, l] is True where local edge l of element k
+    (basis.EDGE_VERTICES order) runs against its edge.  The two sides of
+    an interior edge always differ in it, as both are positively oriented.
     """
 
     def __init__(self, vertices, elements, boundary_tags, region=None,
-                 parent=None, level=None):
+                 parent=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
         ne = self.elements.shape[0]
@@ -106,9 +108,7 @@ class Mesh:
                        else np.asarray(region, dtype=np.int64))
         self.parent = (np.arange(ne, dtype=np.int64) if parent is None
                        else np.asarray(parent, dtype=np.int64))
-        self.level = (np.zeros(ne, dtype=np.int64) if level is None
-                      else np.asarray(level, dtype=np.int64))
-        for name in ("region", "parent", "level"):
+        for name in ("region", "parent"):
             if getattr(self, name).shape != (ne,):
                 raise ValueError(f"{name} needs one entry per element ({ne})")
 
@@ -123,6 +123,8 @@ class Mesh:
 
         self.edges, self.elem_edges, self.edge_elems, self.edge_local = (
             _edge_table(self.elements))
+        first, second = np.array(EDGE_VERTICES).T
+        self.elem_reversed = self.elements[:, first] > self.elements[:, second]
 
         # look every tagged pair up among the edge codes at once
         keys = list(boundary_tags)
@@ -255,7 +257,6 @@ def refine(mesh, marked):
     # second child, so sorting by it gives the depth-first order.
     elems, edge_ids = mesh.elements, mesh.elem_edges
     parent = np.arange(mesh.n_elements)
-    level = mesh.level
     code = np.zeros(mesh.n_elements, dtype=np.int64)
     while True:
         m = mid[edge_ids[:, 2]]
@@ -272,8 +273,7 @@ def refine(mesh, marked):
                                    np.column_stack([new, new, e0])])
         rows = np.concatenate([stay, split, split])
         sizes = [stay.size, split.size, split.size]
-        parent, level = parent[rows], level[rows] + np.repeat([0, 1, 1], sizes)
-        code = 2 * code[rows] + np.repeat([0, 0, 1], sizes)
+        parent, code = parent[rows], 2 * code[rows] + np.repeat([0, 0, 1], sizes)
     order = np.lexsort((code, parent))
     parent = parent[order]
 
@@ -287,7 +287,7 @@ def refine(mesh, marked):
     tags = np.array(mesh.tag_names)[mesh.edge_tag[np.concatenate([bnd, bnd[cut]])]]
 
     return Mesh(vertices, elems[order], _tag_dict(pairs, tags),
-                region=mesh.region[parent], parent=parent, level=level[order])
+                region=mesh.region[parent], parent=parent)
 
 
 def uniform_refine(mesh, times=1):
@@ -411,16 +411,3 @@ def triangle_hole_grid():
     remap[used] = np.arange(used.size)
     return Mesh(full.vertices[used], remap[elements],
                 _tag_dict(remap[bnd], np.where(near, "hole", "outer")))
-
-
-def build_mesh(geometry, **params):
-    """Dispatch on geometry name: square, slit_square, triangle, triangle_hole."""
-    builders = {
-        "square": square_grid,
-        "slit_square": slit_square_grid,
-        "triangle": triangle_grid,
-        "triangle_hole": triangle_hole_grid,
-    }
-    if geometry not in builders:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    return builders[geometry](**params)

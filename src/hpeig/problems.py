@@ -48,20 +48,19 @@ def _checkerboard(kind, value):
 
 @functools.cache
 def _registry():
-    sq = lambda n: square_grid(n)
     sq_q = lambda n: square_grid(n, region_fn=_quadrants)
     tri = lambda n: triangle_grid(n, side=1.0)
     hole = lambda n: triangle_hole_grid()
-    slit = lambda n: slit_square_grid(n)
     return {
         "square_dirichlet": ProblemSpec(
             "square_dirichlet",
             "Laplacian on the unit square, Dirichlet boundary",
-            sq, 4, ("boundary",), Coefficients(), "square_dirichlet", 4),
+            square_grid, 4, ("boundary",), Coefficients(),
+            "square_dirichlet", 4),
         "square_neumann": ProblemSpec(
             "square_neumann",
             "Laplacian on the unit square, Neumann boundary",
-            sq, 4, (), Coefficients(), "square_neumann", 4),
+            square_grid, 4, (), Coefficients(), "square_neumann", 4),
         "triangle": ProblemSpec(
             "triangle",
             "Laplacian on the unit equilateral triangle, Dirichlet",
@@ -95,7 +94,8 @@ def _registry():
             "slit_square",
             "unit square with interior slit, shifted operator, Dirichlet "
             "outside, Neumann on the slit",
-            slit, 4, ("outer",), Coefficients(c=1.0), "slit_square", 4),
+            slit_square_grid, 4, ("outer",), Coefficients(c=1.0),
+            "slit_square", 4),
     }
 
 

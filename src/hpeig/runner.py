@@ -8,7 +8,6 @@ identical.
 """
 
 import csv
-import math
 import os
 import time
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .adaptivity import adapt_loop
 from .config import ConfigError
+from .estimator import total_error
 from .problems import problem
 from .spectra import registry
 from .vtkio import write_vtk
@@ -41,20 +41,12 @@ def study_rows(record, refs, seconds):
     field = record.field
     row = [str(record.step), str(record.n_dofs), _fmt(np.sqrt(record.n_dofs))]
     row += [_fmt(v) for v in values]
-    rel = []
-    rel_cells = []
-    for i, v in enumerate(values):
-        if refs is None or not field.included[i] or abs(refs[i]) < 1e-300:
-            rel_cells.append("")
-        else:
-            r = (v - refs[i]) / v
-            rel.append(r)
-            rel_cells.append(_fmt(r))
-    row += rel_cells
+    row += [_fmt((v - r) / v) if inc else ""
+            for v, r, inc in zip(values, refs, field.included)]
     row += [_fmt(e) for e in field.mode_totals]
     row.append(_fmt(field.total))
-    if rel:
-        total_err = math.fsum(rel)
+    if field.included.any():
+        total_err = total_error(values, refs, field.included)
         row.append(_fmt(total_err))
         row.append(_fmt(total_err / field.total) if field.total > 0 else "")
     else:

@@ -5,8 +5,8 @@ per-element polynomial degrees.  On an edge shared by elements of
 different degree only the modes up to the smaller degree exist (minimum
 rule); the higher-degree element's extra edge modes are dropped from the
 space entirely.  Edge mode k is odd under endpoint swap for odd k, so
-elements whose local edge runs against the global orientation (from the
-lower to the higher vertex id) carry a -1 sign on their odd edge modes.
+an element side that runs against its global edge (from the lower to
+the higher vertex id), mesh.elem_reversed, flips its odd edge modes.
 
 Boundary data is homogeneous, so vertices and edge modes on Dirichlet
 edges carry no dof at all.  The one numbering holds the free vertices
@@ -17,7 +17,7 @@ interior blocks; matrices and coefficient vectors all live on it.
 import numpy as np
 
 from .assembly import reference_kernels
-from .basis import EDGE_VERTICES, bubble_indices, edge_mode_indices, n_local
+from .basis import bubble_indices, edge_mode_indices, n_local
 # tri_shapes is no longer called here, but perfbench/spans.py still wraps
 # it in this namespace
 from .basis import tri_shapes  # noqa: F401
@@ -82,10 +82,6 @@ class DofHandler:
             [[0], np.cumsum(bubble_counts)])
         self.n_dofs = int(self.bubble_offset[-1])
 
-        # a local edge running against its global edge (lower to higher
-        # vertex id) flips the sign of its odd modes
-        first = mesh.elements[:, [a for a, _ in EDGE_VERTICES]]
-        reversed_edge = first != mesh.edges[mesh.elem_edges, 0]
         self.groups = {}
         self.row = np.empty(mesh.n_elements, dtype=np.int64)
         for p in np.unique(self.degrees).tolist():
@@ -99,7 +95,7 @@ class DofHandler:
                 e = mesh.elem_edges[ids][:, :, None]
                 kk = np.arange(2, p + 1)
                 present = kk - 2 < edge_counts[e]
-                odd_flip = reversed_edge[ids][:, :, None] & (kk % 2 == 1)
+                odd_flip = mesh.elem_reversed[ids][:, :, None] & (kk % 2 == 1)
                 idx = edge_mode_indices(p)
                 l2g[:, idx] = np.where(present, self.edge_offset[e] + kk - 2,
                                        -1)
@@ -179,12 +175,13 @@ def transfer(old, new, coeffs):
     pos[split] = match.argmax(axis=1)
     # whole elements write first, then split classes in (old degree, new
     # degree, position) order: a shared dof keeps the last class's value
-    p_old, p_new = old.degrees[parent], new.degrees
-    for _, po, pn, i in sorted(set(zip((pos >= 0).tolist(), p_old.tolist(),
-                                       p_new.tolist(), pos.tolist()))):
+    classes, inverse = np.unique(
+        np.column_stack([pos >= 0, old.degrees[parent], new.degrees, pos]),
+        axis=0, return_inverse=True)
+    for c, (_, po, pn, i) in enumerate(classes.tolist()):
         table = (np.eye(n_local(pn), n_local(po)) if i < 0
                  else reference_kernels(pn)["C"][i, :, :n_local(po)])
-        sel = np.nonzero((p_old == po) & (p_new == pn) & (pos == i))[0]
+        sel = np.nonzero(inverse == c)[0]
         d = table @ old.gather(coeffs, po, old.row[parent[sel]])
         _, l2g, signs = new.groups[pn]
         g, s = l2g[new.row[sel]], signs[new.row[sel]]

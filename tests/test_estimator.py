@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hpeig import estimator
 from hpeig.assembly import (Coefficients, assemble_mass, assemble_stiffness,
                             reference_kernels)
-from hpeig.basis import tri_shapes
+from hpeig.basis import EDGE_VERTICES, tri_shapes
 from hpeig.eigensolve import solve_lowest
-from hpeig.mesh import LOCAL_EDGES, Mesh, refine, square_grid
+from hpeig.mesh import Mesh, refine, square_grid
 from hpeig.problems import problem
 from hpeig.quadrature import interval_rule, triangle_rule
 from hpeig.space import DofHandler
@@ -308,8 +308,8 @@ def _einsum_jump_norms(handler, coeffs_full, co, kinds):
 
     active = kinds != 1
     jump = np.zeros((mesh.n_edges, nq, m))
-    local_a = np.array([e[0] for e in LOCAL_EDGES])
-    local_b = np.array([e[1] for e in LOCAL_EDGES])
+    local_a = np.array([e[0] for e in EDGE_VERTICES])
+    local_b = np.array([e[1] for e in EDGE_VERTICES])
 
     for p in handler.groups:
         U_all = handler.gather(coeffs_full, p)

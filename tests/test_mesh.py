@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpeig.basis import EDGE_VERTICES
 from hpeig.mesh import (
     CHILD_POSITIONS,
-    LOCAL_EDGES,
     Mesh,
-    build_mesh,
     refine,
     slit_square_grid,
     square_grid,
@@ -165,7 +164,7 @@ def test_mesh_validation():
         Mesh(quad, [[0, 1, 2], [0, 2, 3]], {**outline, (2, 0): "b"})
     with pytest.raises(ValueError, match="not in mesh"):
         Mesh(quad, [[0, 1, 2], [0, 2, 3]], {**outline, (1, 3): "b"})
-    for name in ("region", "parent", "level"):
+    for name in ("region", "parent"):
         with pytest.raises(ValueError, match=name):
             Mesh(quad, [[0, 1, 2], [0, 2, 3]], outline, **{name: [0]})
     with pytest.raises(ValueError, match="region"):
@@ -178,12 +177,6 @@ def test_refine_rejects_invalid_marks():
         with pytest.raises(ValueError):
             refine(m, marked)
     assert refine(m, []).n_elements == m.n_elements
-
-
-def test_build_mesh_dispatch():
-    assert build_mesh("square", n=2).n_elements == 8
-    with pytest.raises(ValueError):
-        build_mesh("hexagon")
 
 
 # The edge loops of Mesh.__init__ and the recursive refine as they were
@@ -201,7 +194,7 @@ def reference_edge_table(elements, boundary_tags):
     edge_list = []
     for k in range(ne):
         tri = elements[k]
-        for l, (a, b) in enumerate(LOCAL_EDGES):
+        for l, (a, b) in enumerate(EDGE_VERTICES):
             key = _pair(tri[a], tri[b])
             e = edge_index.get(key)
             if e is None:
@@ -254,22 +247,21 @@ def reference_refine(mesh, marked):
         a, b = mesh.edges[e]
         mids[_pair(a, b)] = nv + i
 
-    new_elems, new_region, new_parent, new_level = [], [], [], []
+    new_elems, new_region, new_parent = [], [], []
 
-    def split(v0, v1, v2, lvl, parent_id, region_id):
+    def split(v0, v1, v2, parent_id, region_id):
         m = mids.get(_pair(v0, v1))
         if m is None:
             new_elems.append((v0, v1, v2))
             new_region.append(region_id)
             new_parent.append(parent_id)
-            new_level.append(lvl)
             return
-        split(v2, v0, m, lvl + 1, parent_id, region_id)
-        split(v1, v2, m, lvl + 1, parent_id, region_id)
+        split(v2, v0, m, parent_id, region_id)
+        split(v1, v2, m, parent_id, region_id)
 
     for k in range(mesh.n_elements):
         v0, v1, v2 = mesh.elements[k]
-        split(v0, v1, v2, int(mesh.level[k]), k, int(mesh.region[k]))
+        split(v0, v1, v2, k, int(mesh.region[k]))
 
     tags = {}
     for (a, b), tag in boundary_tag_dict(mesh).items():
@@ -282,8 +274,7 @@ def reference_refine(mesh, marked):
     return {"vertices": np.vstack([mesh.vertices, midpoints]),
             "elements": np.array(new_elems, dtype=np.int64),
             "region": np.array(new_region, dtype=np.int64),
-            "parent": np.array(new_parent, dtype=np.int64),
-            "level": np.array(new_level, dtype=np.int64), "tags": tags}
+            "parent": np.array(new_parent, dtype=np.int64), "tags": tags}
 
 
 BASE_MESHES = {
@@ -302,6 +293,14 @@ def assert_tables_match(mesh, boundary_tags):
             assert mesh.tag_names == value
         else:
             np.testing.assert_array_equal(getattr(mesh, name), value, err_msg=name)
+    # elem_reversed against the global edge's first vertex, and opposite
+    # on the two sides of every interior edge
+    first = mesh.elements[:, [a for a, _ in EDGE_VERTICES]]
+    np.testing.assert_array_equal(mesh.elem_reversed,
+                                  first != mesh.edges[mesh.elem_edges, 0])
+    inner = mesh.edge_elems[:, 1] >= 0
+    sides = mesh.elem_reversed[mesh.edge_elems[inner], mesh.edge_local[inner]]
+    assert np.all(sides[:, 0] != sides[:, 1])
 
 
 @settings(max_examples=40)
@@ -315,15 +314,19 @@ def test_refine_matches_reference(base, data):
         marked = data.draw(st.lists(st.integers(0, mesh.n_elements - 1), max_size=6))
         want = reference_refine(mesh, marked)
         fine = refine(mesh, marked)
-        for name in ("vertices", "elements", "parent", "level", "region"):
+        for name in ("vertices", "elements", "parent", "region"):
             np.testing.assert_array_equal(getattr(fine, name), want[name], err_msg=name)
         assert_tables_match(fine, want["tags"])
 
         v = fine.vertices[fine.elements]
         d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
         assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
-        lvl = fine.level - mesh.level[fine.parent]
-        np.testing.assert_allclose(fine.area, mesh.area[fine.parent] / 2.0**lvl,
+        # one refine call bisects an element at most twice, which the six
+        # CHILD_POSITIONS and transfer rely on
+        halvings = np.rint(np.log2(mesh.area[fine.parent] / fine.area))
+        assert set(halvings.tolist()) <= {0.0, 1.0, 2.0}
+        np.testing.assert_allclose(fine.area,
+                                   mesh.area[fine.parent] / 2.0**halvings,
                                    rtol=1e-12, atol=0)
         for tag in mesh.tag_names:
             np.testing.assert_allclose(fine.edge_length[fine.edges_with_tag(tag)].sum(),
