@@ -138,10 +138,8 @@ def decide_refinements(handler, field, vectors, marked, cfg):
     empty = np.array([], dtype=np.int64)
     if marked.size == 0:
         return empty, empty, np.array([])
-    if field.included.any():
-        members = np.asarray(np.argmax(field.scaled_local[marked], axis=1))
-    else:
-        members = np.zeros(marked.size, dtype=np.int64)
+    # excluded modes have zero columns, so with none included this is 0
+    members = np.argmax(field.scaled_local[marked], axis=1)
     sigmas = estimate_analyticity(handler, vectors, marked, members)
     p_el = handler.degrees[marked]
     take_p = (p_el >= 2) & (sigmas >= cfg.sigma0) & (p_el < cfg.p_max)

@@ -123,9 +123,8 @@ def pulled_back_diffusion(Jinv, A):
 def _scatter(handler, build_local):
     """CSR sum of the symmetrized per-group element matrices."""
     rows, cols, vals = [], [], []
-    maps = handler.mesh.maps()
     for p, (ids, g, s) in handler.groups.items():
-        loc = build_local(p, ids, maps)
+        loc = build_local(p, ids)
         loc = (0.5 * (loc + loc.transpose(0, 2, 1))
                * s[:, :, None] * s[:, None, :])
         r = np.broadcast_to(g[:, :, None], loc.shape)
@@ -141,12 +140,13 @@ def _scatter(handler, build_local):
 
 def assemble_stiffness(handler, coeffs):
     """Matrix of B(u, v) on the handler's dofs, CSR."""
-    A_el, c_el = coeffs.on_elements(handler.mesh)
+    mesh = handler.mesh
+    A_el, c_el = coeffs.on_elements(mesh)
 
-    def build(p, ids, maps):
+    def build(p, ids):
         SM = reference_kernels(p)["SM"]
-        detJ = maps["detJ"][ids]
-        C = detJ[:, None, None] * pulled_back_diffusion(maps["Jinv"][ids],
+        detJ = mesh.detJ[ids]
+        C = detJ[:, None, None] * pulled_back_diffusion(mesh.Jinv[ids],
                                                         A_el[ids])
         rows = np.column_stack([C.reshape(-1, 4), c_el[ids] * detJ])
         return (rows @ SM.reshape(5, -1)).reshape(-1, *SM.shape[1:])
@@ -156,8 +156,8 @@ def assemble_stiffness(handler, coeffs):
 
 def assemble_mass(handler):
     """Matrix of the L2 inner product on the handler's dofs, CSR."""
-    def build(p, ids, maps):
-        return maps["detJ"][ids][:, None, None] * reference_kernels(p)["M"]
+    def build(p, ids):
+        return handler.mesh.detJ[ids, None, None] * reference_kernels(p)["M"]
 
     return _scatter(handler, build)
 
@@ -169,7 +169,7 @@ def assemble_load(handler, coeffs):
     result has the same shape.  Uses pointwise quadrature values of f,
     independently of the assembled mass matrix, in two products a group.
     """
-    detJ = handler.mesh.maps()["detJ"]
+    detJ = handler.mesh.detJ
     coeffs = np.asarray(coeffs, dtype=float)
     squeeze = coeffs.ndim == 1
     if squeeze:

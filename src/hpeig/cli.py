@@ -77,15 +77,13 @@ def _cmd_oracle_check(args):
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    spectrum = registry(spec.reference)
-    vals, _ = spectrum.flat(cfg.m)
-    all_vals, _ = spectrum.flat()
-    next_value = all_vals[cfg.m] if len(all_vals) > cfg.m else None
-    refs = vals if all(abs(v) > 1e-300 for v in vals) else None
+    vals, _ = registry(spec.reference).flat()
+    next_value = vals[cfg.m] if len(vals) > cfg.m else None
     try:
         checks, report = oracle_checks(handler, spec.coefficients,
                                        cluster.values, cluster.vectors,
-                                       refs=refs, next_value=next_value)
+                                       refs=vals[:cfg.m],
+                                       next_value=next_value)
     except ValueError as exc:
         print(f"oracle not applicable: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,6 +28,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import assemble_load, assemble_stiffness
 from .eigensolve import SPD_LU
+from .estimator import total_error
 from .mesh import uniform_refine
 from .space import DofHandler, transfer
 
@@ -116,21 +117,18 @@ def cluster_bound_check(report, refs, next_value):
     error sum dominates (value_1 / (2 value_M)) * sum(eta2).
     """
     values = report.values
-    refs = np.asarray(refs, dtype=float)
     eta_m = float(np.sqrt(max(report.eta2[-1], 0.0)))
     gap = (next_value - values[-1]) / (next_value + values[-1])
     hypothesis = eta_m < 1.0 and eta_m / (1.0 - eta_m) < gap
     lhs = values[0] / (2.0 * values[-1]) * float(np.sum(report.eta2))
-    rhs = float(np.sum((values - refs) / values))
+    rhs = total_error(values, refs)
     return {"hypothesis": bool(hypothesis), "lhs": lhs, "rhs": rhs,
             "ok": bool(lhs <= rhs * (1.0 + 1e-10) + 1e-14)}
 
 
 def asymptotic_ratio(report, refs):
     """sum(eta2) over the value-weighted eigenvalue error sum."""
-    refs = np.asarray(refs, dtype=float)
-    err = float(np.sum((report.values - refs) / report.values))
-    return float(np.sum(report.eta2)) / err
+    return float(np.sum(report.eta2)) / total_error(report.values, refs)
 
 
 def sin_theta_hs(M, a, b):
@@ -155,8 +153,10 @@ def oracle_checks(handler, co, values, vectors, refs=None, next_value=None):
     """Self-consistency checks of the defect machinery on one cluster.
 
     Returns a list of dicts with keys name, value, tol, ok.  With
-    reference values the cluster bound check is included.
+    reference values the cluster bound check is included.  Raises
+    ValueError before any assembly when the operator is not coercive.
     """
+    _check_coercive(handler, co)
     checks = []
     B = assemble_stiffness(handler, co)
     loads = assemble_load(handler, vectors)

@@ -68,7 +68,6 @@ def element_residual_norms(handler, coeffs, values, co):
     values = np.asarray(values, dtype=float)
     m = coeffs.shape[1]
     A_el, c_el = co.on_elements(mesh)
-    maps = mesh.maps()
     out = np.zeros((mesh.n_elements, m))
     for p, (ids, _, _) in handler.groups.items():
         ker = reference_kernels(p)
@@ -76,10 +75,10 @@ def element_residual_norms(handler, coeffs, values, co):
         table = np.concatenate([ker["V"], *np.moveaxis(ker["H"], 2, 0)])
         U = np.moveaxis(handler.gather(coeffs, p), 1, 0)
         Q = (table @ U.reshape(len(U), -1)).reshape(4, -1, ids.size, m)
-        W = pulled_back_diffusion(maps["Jinv"][ids], A_el[ids])
+        W = pulled_back_diffusion(mesh.Jinv[ids], A_el[ids])
         R = (values - c_el[ids, None]) * Q[0] + W[:, 0, 0, None] * Q[1] \
             + 2.0 * W[:, 0, 1, None] * Q[2] + W[:, 1, 1, None] * Q[3]
-        out[ids] = maps["detJ"][ids, None] * np.tensordot(ker["w"], R**2, 1)
+        out[ids] = mesh.detJ[ids, None] * np.tensordot(ker["w"], R**2, 1)
     return out
 
 
@@ -100,7 +99,7 @@ def _edge_gradients(p_max):
         3, 2, 2 * s.size, -1)
 
 
-def edge_jump_norms(handler, coeffs, co, kinds):
+def edge_jump_norms(handler, coeffs, co):
     """Squared L2 norms of conormal flux jumps, shape (n_edges, m).
 
     coeffs has shape (n_dofs, m).  Interior edges carry the two-sided
@@ -112,16 +111,15 @@ def edge_jump_norms(handler, coeffs, co, kinds):
     mesh = handler.mesh
     m = coeffs.shape[1]
     A_el, _ = co.on_elements(mesh)
-    maps = mesh.maps()
     p_max = int(handler.degrees.max())
     _, wq = interval_rule(2 * p_max + 2)
     tables = _edge_gradients(p_max)
 
     # pulled-back conormal of each local edge: Jinv A n = detJ W n_ref / |e|
-    W = pulled_back_diffusion(maps["Jinv"], A_el)
-    scale = maps["detJ"][:, None] / mesh.edge_length[mesh.elem_edges]
+    W = pulled_back_diffusion(mesh.Jinv, A_el)
+    scale = mesh.detJ[:, None] / mesh.edge_length[mesh.elem_edges]
     qvec = (W @ -GRAD_LAMBDA.T).transpose(0, 2, 1) * scale[..., None]
-    on = kinds[mesh.elem_edges] != 1  # Dirichlet sides are skipped
+    on = handler.edge_kinds[mesh.elem_edges] != 1  # Dirichlet sides are skipped
 
     flux = np.zeros((2, mesh.n_edges, wq.size, m))
     for p, (ids, _, _) in handler.groups.items():
@@ -150,16 +148,14 @@ def estimate(handler, coeffs, values, co):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != values.size:
         raise ValueError("coefficient columns must match eigenvalues")
-    kinds = mesh.edge_kinds(handler.dirichlet_tags)
-
     res = element_residual_norms(handler, coeffs, values, co)
-    jumps = edge_jump_norms(handler, coeffs, co, kinds)
+    jumps = edge_jump_norms(handler, coeffs, co)
 
     p_el = handler.degrees.astype(float)
     scale_el = (mesh.h / p_el) ** 2
     edge_w = mesh.edge_length / handler.p_edge_max
-    edge_w = np.where(kinds == 0, 0.5 * edge_w,
-                      np.where(kinds == 2, edge_w, 0.0))
+    edge_w = np.where(handler.edge_kinds == 0, 0.5 * edge_w,
+                      np.where(handler.edge_kinds == 2, edge_w, 0.0))
     local = scale_el[:, None] * res \
         + np.einsum("kl,klm->km", edge_w[mesh.elem_edges],
                     jumps[mesh.elem_edges])

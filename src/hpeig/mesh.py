@@ -93,6 +93,10 @@ class Mesh:
         Element id in the mesh this one was refined from (identity for
         meshes built from scratch).
 
+    Every derived array is set here, once.  Element k's affine map is
+    x -> vertices[elements[k, 0]] + J[k] x: J (ne, 2, 2) has the edge
+    vectors v1 - v0 and v2 - v0 as columns, detJ = 2 area, Jinv = J^-1.
+
     Global edges run from the lower to the higher vertex id, and
     elem_reversed[k, l] is True where local edge l of element k
     (basis.EDGE_VERTICES order) runs against its edge.  The two sides of
@@ -113,13 +117,17 @@ class Mesh:
                 raise ValueError(f"{name} needs one entry per element ({ne})")
 
         v = self.vertices[self.elements]
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        sign = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(sign <= 0):
-            bad = int(np.argmin(sign))
+        J = self.J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+        detJ = self.detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        if np.any(detJ <= 0):
+            bad = int(np.argmin(detJ))
             raise ValueError(f"element {bad} is not positively oriented")
-        self.area = 0.5 * sign
+        self.area = 0.5 * detJ
+        self.Jinv = np.empty_like(J)
+        self.Jinv[:, 0, 0] = J[:, 1, 1] / detJ
+        self.Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
+        self.Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
+        self.Jinv[:, 1, 1] = J[:, 0, 0] / detJ
 
         self.edges, self.elem_edges, self.edge_elems, self.edge_local = (
             _edge_table(self.elements))
@@ -171,20 +179,6 @@ class Mesh:
     def centroids(self):
         return self.vertices[self.elements].mean(axis=1)
 
-    def maps(self):
-        """Affine reference maps: dict with J (ne,2,2), detJ, Jinv."""
-        if not hasattr(self, "_maps"):
-            v = self.vertices[self.elements]
-            J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-            detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            Jinv = np.empty_like(J)
-            Jinv[:, 0, 0] = J[:, 1, 1] / detJ
-            Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
-            Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
-            Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-            self._maps = {"J": J, "detJ": detJ, "Jinv": Jinv, "origin": v[:, 0]}
-        return self._maps
-
     def edges_with_tag(self, tag):
         if tag not in self.tag_names:
             return np.empty(0, dtype=np.int64)
@@ -192,9 +186,7 @@ class Mesh:
 
     def edge_kinds(self, dirichlet_tags):
         """Classify edges: 0 interior, 1 Dirichlet, 2 Neumann."""
-        kinds = np.zeros(self.n_edges, dtype=np.int64)
-        boundary = self.boundary_mask
-        kinds[boundary] = 2
+        kinds = np.where(self.boundary_mask, 2, 0)
         for tag in dirichlet_tags:
             kinds[self.edges_with_tag(tag)] = 1
         return kinds

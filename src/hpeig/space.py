@@ -35,6 +35,8 @@ class DofHandler:
     l2g = -1 and sign 0, so gather(coeffs, p) (coeffs[max(l2g, 0)] *
     signs) reads zero there.  row[k] is element k's row in its group,
     and vertex_dof[v] the dof of vertex v (-1 on Dirichlet vertices).
+    p_conf[e] and p_edge_max[e] are the smaller (conforming) and larger
+    degree on edge e, edge_kinds = mesh.edge_kinds(dirichlet_tags).
     Coefficient vectors have shape (n_dofs,) or (n_dofs, m).
 
     Parameters
@@ -61,16 +63,13 @@ class DofHandler:
         if unknown:
             raise ValueError(f"unknown boundary tags {sorted(unknown)}")
 
-        # minimum rule: conforming degree per edge
-        self.p_conf = np.full(mesh.n_edges, np.iinfo(np.int64).max)
-        np.minimum.at(self.p_conf, mesh.elem_edges.ravel(),
-                      np.repeat(self.degrees, 3))
-        # larger adjacent degree, used for edge weights in error bounds
-        self.p_edge_max = np.zeros(mesh.n_edges, dtype=np.int64)
-        np.maximum.at(self.p_edge_max, mesh.elem_edges.ravel(),
-                      np.repeat(self.degrees, 3))
+        # degrees on both sides of each edge, a boundary edge's one twice
+        sides = self.degrees[mesh.edge_elems]
+        sides[:, 1] = np.where(mesh.boundary_mask, sides[:, 0], sides[:, 1])
+        self.p_conf, self.p_edge_max = sides.min(axis=1), sides.max(axis=1)
+        self.edge_kinds = mesh.edge_kinds(self.dirichlet_tags)
 
-        dirichlet = mesh.edge_kinds(self.dirichlet_tags) == 1
+        dirichlet = self.edge_kinds == 1
         fixed = np.zeros(mesh.n_vertices, dtype=bool)
         fixed[mesh.edges[dirichlet].ravel()] = True
         self.vertex_dof = np.where(fixed, -1, np.cumsum(~fixed) - 1)
@@ -165,10 +164,9 @@ def transfer(old, new, coeffs):
 
     pos = np.where(np.all(mn.elements == mo.elements[parent], axis=1), -1, 0)
     split = np.nonzero(pos >= 0)[0]
-    maps = mo.maps()
     kp = parent[split]
-    ref = (mn.vertices[mn.elements[split]] - maps["origin"][kp, None, :]) \
-        @ maps["Jinv"][kp].transpose(0, 2, 1)
+    ref = (mn.vertices[mn.elements[split]] - mo.vertices[mo.elements[kp, :1]]) \
+        @ mo.Jinv[kp].transpose(0, 2, 1)
     match = np.all(np.abs(ref[:, None] - CHILD_POSITIONS) < 1e-8, axis=(2, 3))
     if not np.all(match.any(axis=1)):
         raise ValueError("new mesh is not one refine call from the old one")

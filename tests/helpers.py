@@ -50,7 +50,7 @@ def evaluate(handler, coeffs, elems, ref_pts, deriv=0):
     """
     elems = np.asarray(elems, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=float)
-    Jinv = handler.mesh.maps()["Jinv"]
+    Jinv = handler.mesh.Jinv
     npts = np.asarray(ref_pts).shape[0]
     out = np.zeros((elems.size, npts) if deriv == 0
                    else (elems.size, npts, 2))
@@ -91,13 +91,12 @@ def interpolate(handler, f):
         sol = scipy.linalg.cho_solve(chol, E.T @ (w[:, None] * resid.T))
         coeffs[full.edge_offset[es][:, None] + np.arange(p - 1)] = sol.T
 
-    maps = mesh.maps()
     for p, (ids, l2g, signs) in full.groups.items():
         if p < 3:
             continue
         ker = reference_kernels(p)
-        phys = maps["origin"][ids, None, :] + np.einsum(
-            "kab,qb->kqa", maps["J"][ids], ker["pts"])
+        phys = mesh.vertices[mesh.elements[ids, :1]] + np.einsum(
+            "kab,qb->kqa", mesh.J[ids], ker["pts"])
         bi = bubble_indices(p)
         edge_part = full.gather(coeffs, p)
         edge_part[:, bi] = 0.0
@@ -160,11 +159,10 @@ def reference_transfer(old, new, coeffs):
                  np.diff(old.bubble_offset)[parent[kept]])
 
     split = np.nonzero(~same)[0]
-    maps = mo.maps()
     kp = parent[split]
-    ref = np.einsum("kab,kvb->kva", maps["Jinv"][kp],
+    ref = np.einsum("kab,kvb->kva", mo.Jinv[kp],
                     mn.vertices[mn.elements[split]]
-                    - maps["origin"][kp, None, :])
+                    - mo.vertices[mo.elements[kp, :1]])
     match = np.all(np.abs(ref[:, None] - CHILD_POSITIONS) < 1e-8, axis=(2, 3))
     pos = match.argmax(axis=1)
     p_old, p_new = old.degrees[kp], new.degrees[split]
@@ -230,16 +228,15 @@ def reference_stiffness_mass(handler, co, absolute=False):
     """
     size = np.abs if absolute else (lambda x: x)
     mesh = handler.mesh
-    maps = mesh.maps()
     A_el, c_el = co.on_elements(mesh)
     parts = {"B": ([], [], []), "M": ([], [], [])}
     for p, (ids, g, s) in handler.groups.items():
         ker = reference_kernels(p)
         S = size(ker["SM"][:4].reshape(2, 2, *ker["M"].shape))
         M = size(ker["M"])
-        detJ = maps["detJ"][ids]
+        detJ = mesh.detJ[ids]
         C = size(detJ[:, None, None]
-                 * pulled_back_diffusion(maps["Jinv"][ids], A_el[ids]))
+                 * pulled_back_diffusion(mesh.Jinv[ids], A_el[ids]))
         stiff = np.einsum("kab,abij->kij", C, S) \
             + (c_el[ids] * detJ)[:, None, None] * M[None]
         mass = detJ[:, None, None] * M[None]
@@ -264,7 +261,7 @@ def reference_stiffness_mass(handler, co, absolute=False):
 def reference_load(handler, coeffs):
     """assemble_load as it was: einsum through the quadrature points and
     np.add.at into the result."""
-    maps = handler.mesh.maps()
+    detJ = handler.mesh.detJ
     coeffs = np.asarray(coeffs, dtype=float)
     squeeze = coeffs.ndim == 1
     if squeeze:
@@ -275,7 +272,7 @@ def reference_load(handler, coeffs):
         loc = handler.gather(coeffs, p)
         fvals = np.einsum("ql,klm->kqm", ker["V"], loc)
         rhs = np.einsum("ql,q,kqm->klm", ker["V"], ker["w"], fvals)
-        rhs *= maps["detJ"][ids][:, None, None]
+        rhs *= detJ[ids][:, None, None]
         rhs *= s[:, :, None]
         ok = g >= 0
         np.add.at(out, g[ok], rhs[ok])

@@ -137,13 +137,17 @@ def _fake_field(handler, scaled_local, included):
 
 def test_decide_refinements_degree_rules():
     mesh = square_grid(1)
-    for degrees, p_max, expect_p in (
-            ([1, 4], 10, [1]),   # p=1 bisects, smooth p=4 increments
-            ([1, 4], 4, []),     # cap reached: everything bisects
+    for degrees, p_max, scaled, included, expect_p in (
+            # p=1 bisects, smooth p=4 increments
+            ([1, 4], 10, [[1.0], [2.0]], [True], [1]),
+            # cap reached: everything bisects
+            ([1, 4], 4, [[1.0], [2.0]], [True], []),
+            # no mode included: member 0 judges every element
+            ([1, 4], 10, [[0.0], [0.0]], [False], [1]),
     ):
         handler = DofHandler(mesh, degrees, dirichlet_tags=())
         vectors = interpolate(handler, lambda pts: pts[:, 0] + pts[:, 1])[:, None]
-        field = _fake_field(handler, [[1.0], [2.0]], [True])
+        field = _fake_field(handler, scaled, included)
         cfg = AdaptConfig(m=1, p_max=p_max)
         marked = np.array([0, 1])
         h_set, p_set, sigmas = decide_refinements(handler, field, vectors,
@@ -208,6 +212,21 @@ def test_adapt_loop_uniform_mode_bisects_everything():
     for a, b in zip(counts, counts[1:]):
         assert b == 2 * a
     assert all(np.all(r.handler.degrees == 1) for r in records)
+
+
+def test_adapt_loop_caches_nothing_on_mesh_or_handler():
+    # derived arrays are set at construction: full steps (solve,
+    # estimate, decide, refine, transfer) add no attribute to any mesh
+    # or handler; here step 1 raises degrees and step 2 bisects
+    mesh = slit_square_grid(4)
+    handler = DofHandler(mesh, 2, ("outer",))
+    before = set(vars(mesh)), set(vars(handler))
+    cfg = AdaptConfig(m=1, dof_budget=10**6, max_steps=3)
+    records = list(adapt_loop(handler, Coefficients(), cfg))
+    assert records[0].handler is handler
+    assert records[-1].handler.mesh.n_elements > mesh.n_elements
+    for r in records:
+        assert (set(vars(r.handler.mesh)), set(vars(r.handler))) == before
 
 
 def test_adapt_loop_slit_mixes_h_and_p():

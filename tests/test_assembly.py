@@ -51,7 +51,6 @@ def test_energy_identity_against_fine_quadrature():
     v = rng.standard_normal(h.n_dofs)
 
     A_el, c_el = coeffs.on_elements(mesh)
-    maps = mesh.maps()
     energy = 0.0
     l2 = 0.0
     for k in range(mesh.n_elements):
@@ -59,9 +58,9 @@ def test_energy_identity_against_fine_quadrature():
         vals = evaluate(h, v, [k], pts)[0]
         grads = evaluate(h, v, [k], pts, deriv=1)[0]
         Ag = grads @ A_el[k].T
-        energy += maps["detJ"][k] * np.sum(
+        energy += mesh.detJ[k] * np.sum(
             w * (np.sum(Ag * grads, axis=1) + c_el[k] * vals**2))
-        l2 += maps["detJ"][k] * np.sum(w * vals**2)
+        l2 += mesh.detJ[k] * np.sum(w * vals**2)
 
     assert abs(v @ (B @ v) - energy) < 1e-11 * max(1.0, energy)
     assert abs(v @ (M @ v) - l2) < 1e-12 * max(1.0, l2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from hpeig import defects
 from hpeig.assembly import Coefficients, assemble_mass, assemble_stiffness
@@ -175,3 +176,21 @@ def test_coercivity_guard():
     with pytest.raises(ValueError):
         defects.defect_report(handler, Coefficients(c=0.0),
                               np.array([1.0]), np.zeros((handler.n_dofs, 1)))
+
+
+def test_oracle_checks_reject_non_coercive_before_factoring(monkeypatch):
+    # a pure Neumann operator without a zero-order term is singular, so
+    # the oracle must refuse it before any SuperLU factorisation
+    mesh = square_grid(2)
+    handler = DofHandler(mesh, np.full(mesh.n_elements, 2), ())
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return scipy.sparse.linalg.splu(*args, **kwargs)
+
+    monkeypatch.setattr(defects, "splu", counting_splu)
+    with pytest.raises(ValueError):
+        defects.oracle_checks(handler, Coefficients(c=0.0), np.array([1.0]),
+                              np.ones((handler.n_dofs, 1)))
+    assert len(calls) == 0

@@ -74,11 +74,10 @@ def test_element_residual_matches_fine_quadrature():
         handler, coeffs[:, None], np.array([mu]), co)
 
     pts, w = triangle_rule(12)
-    maps = mesh.maps()
     for k in range(mesh.n_elements):
-        phys = maps["origin"][k] + pts @ maps["J"][k].T
+        phys = mesh.vertices[mesh.elements[k, 0]] + pts @ mesh.J[k].T
         vals = strong_residual(phys[:, 0], phys[:, 1], int(mesh.region[k]))
-        want = maps["detJ"][k] * np.sum(w * vals**2)
+        want = mesh.detJ[k] * np.sum(w * vals**2)
         assert got[k, 0] == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
@@ -104,8 +103,7 @@ def test_hat_function_jumps_by_hand():
     co = Coefficients(c=5.0)
     coeffs = np.zeros(handler.n_dofs)
     coeffs[0] = 1.0
-    kinds = mesh.edge_kinds(())
-    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co, kinds)
+    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co)
 
     diag = _edge_id(mesh, 0, 2)
     assert jumps[diag, 0] == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-13)
@@ -131,7 +129,7 @@ def test_smooth_field_has_no_interior_jumps():
     co = Coefficients(A=[[2.0, 1.0], [1.0, 3.0]], c=0.0)
     coeffs = interpolate(handler, lambda p: p[:, 0]**2 + 3 * p[:, 0] * p[:, 1] + 2 * p[:, 1]**2)
     kinds = mesh.edge_kinds(())
-    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co, kinds)
+    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co)
     interior = kinds == 0
     assert np.max(jumps[interior, 0]) < 1e-24
 
@@ -167,7 +165,7 @@ def test_material_interface_jump():
     co = Coefficients(A=[np.eye(2), 3.0 * np.eye(2)], c=[0.0, 0.0])
     coeffs = interpolate(handler, lambda p: p[:, 0])
     kinds = mesh.edge_kinds(())
-    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co, kinds)
+    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co)
     mids = mesh.vertices[mesh.edges].mean(axis=1)
     on_interface = (np.abs(mesh.vertices[mesh.edges][:, :, 0] - 0.5) < 1e-12).all(axis=1)
     assert on_interface.sum() == 2
@@ -199,7 +197,7 @@ def test_estimate_bookkeeping_and_zero_mode():
     # recombine the parts with the stated weights
     kinds = mesh.edge_kinds(handler.dirichlet_tags)
     res = estimator.element_residual_norms(handler, coeffs, values, co)
-    jumps = estimator.edge_jump_norms(handler, coeffs, co, kinds)
+    jumps = estimator.edge_jump_norms(handler, coeffs, co)
     w = mesh.edge_length / handler.p_edge_max
     w = np.where(kinds == 0, 0.5 * w, np.where(kinds == 2, w, 0.0))
     want = (mesh.h / degrees)[:, None] ** 2 * res + np.einsum(
@@ -277,19 +275,18 @@ def _einsum_residual_norms(handler, coeffs_full, values, co):
     values = np.asarray(values, dtype=float)
     m = coeffs_full.shape[1]
     A_el, c_el = co.on_elements(mesh)
-    maps = mesh.maps()
     out = np.zeros((mesh.n_elements, m))
     for p, (ids, _, _) in handler.groups.items():
         ker = reference_kernels(p)
         U = handler.gather(coeffs_full, p)
-        Jinv = maps["Jinv"][ids]
+        Jinv = mesh.Jinv[ids]
         W = np.einsum("kab,kbc,kdc->kad", Jinv, A_el[ids], Jinv)
         wvec = np.stack([W[:, 0, 0], 2.0 * W[:, 0, 1], W[:, 1, 1]], axis=1)
         u = np.einsum("ql,klm->kqm", ker["V"], U)
         lap = np.einsum("kc,qlc,klm->kqm", wvec, ker["H"], U)
         R = (values[None, None, :] - c_el[ids, None, None]) * u + lap
-        out[ids] = maps["detJ"][ids, None] * np.einsum("q,kqm->km", ker["w"],
-                                                        R**2)
+        out[ids] = mesh.detJ[ids, None] * np.einsum("q,kqm->km", ker["w"],
+                                                    R**2)
     return out
 
 
@@ -297,8 +294,7 @@ def _einsum_jump_norms(handler, coeffs_full, co, kinds):
     mesh = handler.mesh
     m = coeffs_full.shape[1]
     A_el, _ = co.on_elements(mesh)
-    maps = mesh.maps()
-    Jinv, origin = maps["Jinv"], maps["origin"]
+    Jinv, origin = mesh.Jinv, mesh.vertices[mesh.elements[:, 0]]
 
     sq, wq = interval_rule(2 * int(handler.degrees.max()) + 2)
     nq = sq.size
@@ -390,7 +386,7 @@ def test_table_products_match_einsum_reference(case):
     pairs = [
         (estimator.element_residual_norms(handler, coeffs, values, co),
          _einsum_residual_norms(handler, coeffs, values, co)),
-        (estimator.edge_jump_norms(handler, coeffs, co, kinds),
+        (estimator.edge_jump_norms(handler, coeffs, co),
          _einsum_jump_norms(handler, coeffs, co, kinds)),
     ]
     for got, want in pairs:

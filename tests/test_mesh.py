@@ -63,11 +63,11 @@ def test_refined_elements_are_child_positions(base, positions):
     seen = set()
     for marks in (np.arange(base.n_elements), [0]):
         fine = refine(base, marks)
-        maps, kp = base.maps(), fine.parent
+        kp = fine.parent
         split = np.any(fine.elements != base.elements[kp], axis=1)
-        ref = np.einsum("kab,kvb->kva", maps["Jinv"][kp[split]],
+        ref = np.einsum("kab,kvb->kva", base.Jinv[kp[split]],
                         fine.vertices[fine.elements[split]]
-                        - maps["origin"][kp[split], None])
+                        - base.vertices[base.elements[kp[split], :1]])
         dist = np.abs(ref[:, None] - CHILD_POSITIONS).max(axis=(2, 3))
         assert np.all(dist.min(axis=1) < 1e-12)
         seen.update(dist.argmin(axis=1).tolist())
@@ -301,6 +301,16 @@ def assert_tables_match(mesh, boundary_tags):
     inner = mesh.edge_elems[:, 1] >= 0
     sides = mesh.elem_reversed[mesh.edge_elems[inner], mesh.edge_local[inner]]
     assert np.all(sides[:, 0] != sides[:, 1])
+    # affine maps: edge vectors as columns, the cross product as
+    # determinant (bitwise), half of it as area (exactly)
+    v = mesh.vertices[mesh.elements]
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    assert np.array_equal(mesh.J, np.stack([d1, d2], axis=2))
+    assert np.array_equal(mesh.detJ, d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    assert np.array_equal(mesh.area, 0.5 * mesh.detJ)
+    np.testing.assert_allclose(mesh.Jinv @ mesh.J,
+                               np.broadcast_to(np.eye(2), mesh.J.shape),
+                               rtol=0, atol=1e-13)
 
 
 @settings(max_examples=40)

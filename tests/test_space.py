@@ -28,8 +28,7 @@ def edge_sample_points(mesh, e, n=5):
 
 
 def to_ref(mesh, k, phys):
-    maps = mesh.maps()
-    return (phys - maps["origin"][k]) @ maps["Jinv"][k].T
+    return (phys - mesh.vertices[mesh.elements[k, 0]]) @ mesh.Jinv[k].T
 
 
 def test_dof_count_fixed_degree():
@@ -244,8 +243,7 @@ def test_interpolate_reproduces_space_members():
     pts = rng.dirichlet(np.ones(3), size=20)[:, 1:]
     for k in range(mesh.n_elements):
         got = evaluate(h, coeffs, [k], pts)[0]
-        maps = mesh.maps()
-        phys = maps["origin"][k] + pts @ maps["J"][k].T
+        phys = mesh.vertices[mesh.elements[k, 0]] + pts @ mesh.J[k].T
         assert np.max(np.abs(got - f(phys))) < 1e-11
 
 
@@ -281,9 +279,8 @@ def test_transfer_is_exact_on_refinement(coarse, top, data):
     tol = 1e-11 if top == 4 else 1e-14 * n_local(12) * np.abs(out).max()
 
     pts = rng.dirichlet(np.ones(3), size=12)[:, 1:]
-    maps = fine.maps()
     for k in range(fine.n_elements):
-        phys = maps["origin"][k] + pts @ maps["J"][k].T
+        phys = fine.vertices[fine.elements[k, 0]] + pts @ fine.J[k].T
         kp = fine.parent[k]
         want = evaluate(h, coeffs, [kp], to_ref(mesh, kp, phys))[0]
         got = evaluate(hf, out, [k], pts)[0]
@@ -293,6 +290,20 @@ def test_transfer_is_exact_on_refinement(coarse, top, data):
 # square_grid(1) under Dirichlet data at degree 1 has no dofs at all
 TABLE_COARSE = {**COARSE, "square_1": lambda: square_grid(1)}
 TABLE_DIRICHLET = {**DIRICHLET, "square_1": DIRICHLET["square"]}
+
+
+def assert_edge_data(h):
+    """p_conf, p_edge_max and edge_kinds against ufunc.at scatters over
+    every element side and the mesh's own classification."""
+    mesh = h.mesh
+    p_conf = np.full(mesh.n_edges, np.iinfo(np.int64).max)
+    np.minimum.at(p_conf, mesh.elem_edges.ravel(), np.repeat(h.degrees, 3))
+    p_edge_max = np.zeros(mesh.n_edges, dtype=np.int64)
+    np.maximum.at(p_edge_max, mesh.elem_edges.ravel(), np.repeat(h.degrees, 3))
+    for got, want in ((h.p_conf, p_conf), (h.p_edge_max, p_edge_max),
+                      (h.edge_kinds, mesh.edge_kinds(h.dirichlet_tags))):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,6 +328,8 @@ def test_transfer_matches_block_copy_reference(coarse, data):
         st.integers(0, 2), min_size=fine.n_elements,
         max_size=fine.n_elements)))
     hf = DofHandler(fine, degrees[parent] + raise_by, tags)
+    assert_edge_data(h)
+    assert_edge_data(hf)
     shape = data.draw(st.sampled_from([(), (1,), (3,)]))
     coeffs = np.random.default_rng(5).standard_normal((h.n_dofs,) + shape)
     assert np.array_equal(transfer(h, hf, coeffs),
