@@ -65,15 +65,15 @@ def _edge_table(elements):
     return sides[first[order]], elem_edges, edge_elems, edge_local
 
 
-def _boundary_edges(elements):
-    edges, _, edge_elems, _ = _edge_table(elements)
-    return edges[edge_elems[:, 1] < 0]
+def _boundary_sides(elements):
+    """(ne, 3) mask of the element sides that lie on the boundary."""
+    _, elem_edges, edge_elems, _ = _edge_table(elements)
+    return (edge_elems[:, 1] < 0)[elem_edges]
 
 
-def _tag_dict(pairs, tags):
-    """boundary_tags dict from (n, 2) vertex pairs and n tags (or one)."""
-    tags = np.broadcast_to(np.asarray(tags), (len(pairs),))
-    return dict(zip(map(tuple, pairs.tolist()), tags.tolist()))
+def _side_midpoints(vertices, elements):
+    """(ne, 3, 2) midpoints of the element sides, in EDGE_VERTICES order."""
+    return vertices[elements[:, np.array(EDGE_VERTICES)]].mean(axis=2)
 
 
 class Mesh:
@@ -84,9 +84,10 @@ class Mesh:
     vertices : ndarray (nv, 2)
     elements : ndarray (ne, 3)
         Positively oriented; refinement edge (v0, v1), peak v2.
-    boundary_tags : dict
-        Maps sorted vertex pairs of boundary edges to tag strings.
-        Every boundary edge must be tagged.
+    side_tags : array_like of str (ne, 3)
+        Entry [k, l] tags local edge l of element k (basis.EDGE_VERTICES
+        order) where that side lies on the boundary, and is "" elsewhere.
+        Every boundary side must be tagged.
     region : ndarray (ne,), optional
         Integer material region per element, default 0.
     parent : ndarray (ne,), optional
@@ -103,7 +104,7 @@ class Mesh:
     an interior edge always differ in it, as both are positively oriented.
     """
 
-    def __init__(self, vertices, elements, boundary_tags, region=None,
+    def __init__(self, vertices, elements, side_tags, region=None,
                  parent=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
@@ -134,27 +135,23 @@ class Mesh:
         first, second = np.array(EDGE_VERTICES).T
         self.elem_reversed = self.elements[:, first] > self.elements[:, second]
 
-        # look every tagged pair up among the edge codes at once
-        keys = list(boundary_tags)
-        pairs = np.sort(np.array(keys, dtype=np.int64).reshape(-1, 2), axis=1)
-        nv = self.n_vertices
-        code = self.edges[:, 0] * nv + self.edges[:, 1]
-        by_code = np.argsort(code)
-        at = np.searchsorted(code, pairs[:, 0] * nv + pairs[:, 1], sorter=by_code)
-        tagged = by_code[np.minimum(at, self.n_edges - 1)]
-        missing = np.any(self.edges[tagged] != pairs, axis=1)
-        if np.any(missing):
-            raise ValueError(f"tagged edge {keys[np.argmax(missing)]} not in mesh")
+        side = np.asarray(side_tags, dtype=str)
+        if side.shape != (ne, 3):
+            raise ValueError(f"side_tags needs shape ({ne}, 3), got {side.shape}")
         boundary = self.boundary_mask
-        if not np.all(boundary[tagged]):
-            raise ValueError(f"tagged edge {keys[np.argmin(boundary[tagged])]} is interior")
-        self.tag_names = sorted(set(boundary_tags.values()))
-        self.edge_tag = np.full(self.n_edges, -1, dtype=np.int64)
-        self.edge_tag[tagged] = np.searchsorted(self.tag_names,
-                                                list(boundary_tags.values()))
-        if np.any(boundary & (self.edge_tag < 0)):
-            e = int(np.nonzero(boundary & (self.edge_tag < 0))[0][0])
-            raise ValueError(f"boundary edge {tuple(self.edges[e])} has no tag")
+        # column 1 of a boundary edge gathers side -1 and is never read
+        tags = side[self.edge_elems, self.edge_local]
+        inner = ~boundary & np.any(tags != "", axis=1)
+        if np.any(inner):
+            e = int(np.argmax(inner))
+            raise ValueError(f"tagged edge {tuple(self.edges[e].tolist())} is interior")
+        untagged = boundary & (tags[:, 0] == "")
+        if np.any(untagged):
+            e = int(np.argmax(untagged))
+            raise ValueError(f"boundary edge {tuple(self.edges[e].tolist())} has no tag")
+        self.tag_names = sorted(set(tags[boundary, 0].tolist()))
+        self.edge_tag = np.where(boundary,
+                                 np.searchsorted(self.tag_names, tags[:, 0]), -1)
 
         ev = self.vertices[self.edges]
         self.edge_length = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)
@@ -245,9 +242,11 @@ def refine(mesh, marked):
 
     # Bisect one generation at a time.  Only input edges are ever split,
     # so each element carries the input ids of its three edges (-1 for
-    # new ones) and a path code: doubled every generation, +1 for a
-    # second child, so sorting by it gives the depth-first order.
+    # new ones), their tag codes (halves keep the code of the side they
+    # split, new sides get -1) and a path code: doubled every generation,
+    # +1 for a second child, so sorting by it gives the depth-first order.
     elems, edge_ids = mesh.elements, mesh.elem_edges
+    side = mesh.edge_tag[mesh.elem_edges]
     parent = np.arange(mesh.n_elements)
     code = np.zeros(mesh.n_elements, dtype=np.int64)
     while True:
@@ -258,34 +257,26 @@ def refine(mesh, marked):
         stay = np.nonzero(m < 0)[0]
         v0, v1, v2 = elems[split].T
         m, e0, e1 = m[split], edge_ids[split, 0], edge_ids[split, 1]
+        t0, t1, t2 = side[split].T
         new = np.full(split.size, -1)
         elems = np.concatenate([elems[stay], np.column_stack([v2, v0, m]),
                                 np.column_stack([v1, v2, m])])
         edge_ids = np.concatenate([edge_ids[stay], np.column_stack([new, new, e1]),
                                    np.column_stack([new, new, e0])])
+        side = np.concatenate([side[stay], np.column_stack([t2, new, t1]),
+                               np.column_stack([new, t2, t0])])
         rows = np.concatenate([stay, split, split])
         sizes = [stay.size, split.size, split.size]
         parent, code = parent[rows], 2 * code[rows] + np.repeat([0, 0, 1], sizes)
     order = np.lexsort((code, parent))
     parent = parent[order]
 
-    # boundary edges keep their tag, split ones on both halves
-    bnd = np.nonzero(mesh.boundary_mask)[0]
-    a, b = mesh.edges[bnd].T
-    m = mid[bnd]
-    cut = m >= 0
-    pairs = np.concatenate([np.column_stack([a, np.where(cut, m, b)]),
-                            np.column_stack([m, b])[cut]])
-    tags = np.array(mesh.tag_names)[mesh.edge_tag[np.concatenate([bnd, bnd[cut]])]]
-
-    return Mesh(vertices, elems[order], _tag_dict(pairs, tags),
+    return Mesh(vertices, elems[order], np.append(mesh.tag_names, "")[side[order]],
                 region=mesh.region[parent], parent=parent)
 
 
-def uniform_refine(mesh, times=1):
-    for _ in range(times):
-        mesh = refine(mesh, np.arange(mesh.n_elements))
-    return mesh
+def uniform_refine(mesh):
+    return refine(mesh, np.arange(mesh.n_elements))
 
 
 def _normalize(vertices, elements):
@@ -330,8 +321,8 @@ def square_grid(n, region_fn=None):
     vertices, elements = _unit_square(n)
     elements = _normalize(vertices, elements)
     region = None if region_fn is None else region_fn(vertices[elements].mean(axis=1))
-    return Mesh(vertices, elements,
-                _tag_dict(_boundary_edges(elements), "boundary"), region=region)
+    return Mesh(vertices, elements, np.where(_boundary_sides(elements), "boundary", ""),
+                region=region)
 
 
 def slit_square_grid(n):
@@ -354,13 +345,14 @@ def slit_square_grid(n):
     vertices = np.vstack([vertices, vertices[on_slit]])
     elements = _normalize(vertices, elements)
 
-    bnd = _boundary_edges(elements)
-    mid = vertices[bnd].mean(axis=1)
-    on_outer = np.any((mid < 1e-12) | (mid > 1 - 1e-12), axis=1)
-    on_slit = (np.abs(mid[:, 1] - 0.5) < 1e-12) & (mid[:, 0] > 0.5)
-    if not np.all(on_outer | on_slit):
-        raise ValueError(f"unclassified boundary edge at {mid[~(on_outer | on_slit)][0]}")
-    return Mesh(vertices, elements, _tag_dict(bnd, np.where(on_outer, "outer", "slit")))
+    bnd = _boundary_sides(elements)
+    mid = _side_midpoints(vertices, elements)
+    on_outer = np.any((mid < 1e-12) | (mid > 1 - 1e-12), axis=2)
+    on_slit = (np.abs(mid[..., 1] - 0.5) < 1e-12) & (mid[..., 0] > 0.5)
+    unknown = bnd & ~(on_outer | on_slit)
+    if np.any(unknown):
+        raise ValueError(f"unclassified boundary edge at {mid[unknown][0]}")
+    return Mesh(vertices, elements, np.where(bnd, np.where(on_outer, "outer", "slit"), ""))
 
 
 def triangle_grid(n, side=2.0):
@@ -383,7 +375,7 @@ def triangle_grid(n, side=2.0):
             if j < n - i - 1:
                 elements.append((rows[i][j + 1], rows[i + 1][j + 1], rows[i + 1][j]))
     elements = _normalize(vertices, elements)
-    return Mesh(vertices, elements, _tag_dict(_boundary_edges(elements), "boundary"))
+    return Mesh(vertices, elements, np.where(_boundary_sides(elements), "boundary", ""))
 
 
 def triangle_hole_grid():
@@ -396,10 +388,9 @@ def triangle_hole_grid():
     centroid = np.array([1.0, np.sqrt(3.0) / 3.0])
     keep = np.linalg.norm(full.centroids() - centroid, axis=1) > 1e-9
     elements = full.elements[keep]
-    bnd = _boundary_edges(elements)
-    near = np.linalg.norm(full.vertices[bnd].mean(axis=1) - centroid, axis=1) < 0.3
+    near = np.linalg.norm(_side_midpoints(full.vertices, elements) - centroid, axis=2) < 0.3
     used = np.unique(elements)
     remap = -np.ones(full.n_vertices, dtype=np.int64)
     remap[used] = np.arange(used.size)
     return Mesh(full.vertices[used], remap[elements],
-                _tag_dict(remap[bnd], np.where(near, "hole", "outer")))
+                np.where(_boundary_sides(elements), np.where(near, "hole", "outer"), ""))

@@ -112,10 +112,15 @@ def interpolate(handler, f):
 
 
 def boundary_tag_dict(mesh):
-    """The boundary_tags dict that rebuilds mesh's boundary tags."""
+    """mesh's boundary tags keyed by sorted vertex pair."""
     b = mesh.boundary_mask
     tags = np.array(mesh.tag_names)[mesh.edge_tag[b]]
     return dict(zip(map(tuple, mesh.edges[b].tolist()), tags.tolist()))
+
+
+def side_tags(mesh):
+    """The (ne, 3) side_tags array that rebuilds mesh's boundary tags."""
+    return np.append(mesh.tag_names, "")[mesh.edge_tag[mesh.elem_edges]]
 
 
 def _copy_blocks(dst, dst_start, src, src_start, counts):

@@ -29,8 +29,7 @@ def test_mark_fixed_fraction_counts_and_ties():
 def _reference_triangle_mesh():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     elements = np.array([[0, 1, 2]])
-    tags = {(0, 1): "b", (1, 2): "b", (0, 2): "b"}
-    return Mesh(vertices, elements, tags)
+    return Mesh(vertices, elements, [["b", "b", "b"]])
 
 
 def test_analyticity_recovers_planted_decay():

@@ -28,7 +28,7 @@ def quadrant_regions(cents):
 
 def test_p1_reference_element_matrices():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mesh = Mesh(verts, [[0, 1, 2]], {(0, 1): "b", (1, 2): "b", (0, 2): "b"})
+    mesh = Mesh(verts, [[0, 1, 2]], [["b", "b", "b"]])
     h = DofHandler(mesh, 1)
     K = assemble_stiffness(h, Coefficients()).toarray()
     M = assemble_mass(h).toarray()

@@ -118,14 +118,16 @@ def test_run_missing_config(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_run_solver_failure(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+def test_run_solver_failure(tmp_path, capsys, monkeypatch, command):
     def boom(*a, **kw):
         raise SolverError("did not converge")
     monkeypatch.setattr("hpeig.adaptivity.solve_lowest", boom)
-    cfg = write_config(tmp_path, SMALL)
-    assert cli.main(["run", "--config", cfg,
-                     "--out", str(tmp_path / "x.csv")]) == 3
-    assert "solver failure" in capsys.readouterr().err
+    argv = [command, "--config", write_config(tmp_path, SMALL)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 3
+    assert "solver failure: did not converge" in capsys.readouterr().err
 
 
 def test_verify_references_ok(capsys):
@@ -149,6 +151,17 @@ def test_oracle_check_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "trace_sandwich_lower" in out
     assert "cluster_lower_bound" in out
+    assert "skip" not in out
+    assert "oracle checks passed" in out
+
+
+def test_oracle_check_says_when_it_skips_the_cluster_bound(tmp_path, capsys):
+    # reaction_kappa10 lists exactly m reference values
+    cfg = write_config(tmp_path, "[problem]\nname = reaction_kappa10\n")
+    assert cli.main(["oracle-check", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert ("skip cluster_lower_bound: no reference value beyond the cluster"
+            in out.splitlines())
     assert "oracle checks passed" in out
 
 
@@ -182,12 +195,20 @@ def test_usage_error_exit_code():
 
 
 def test_entry_point_installed():
+    # the console script where it is installed, else the module run from
+    # the directory this hpeig was imported from
+    import os
     import shutil
     import subprocess
+    import sys
     exe = shutil.which("hpeig")
+    env = None
     if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "list-problems"], capture_output=True,
-                          text=True)
+        argv = [sys.executable, "-m", "hpeig.cli", "list-problems"]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(os.path.abspath(cli.__file__)))}
+    else:
+        argv = [exe, "list-problems"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "square_dirichlet" in proc.stdout

@@ -57,7 +57,7 @@ def test_dense_path_only_below_arpack_limit():
 
 
 def test_dirichlet_laplacian_on_square():
-    mesh = uniform_refine(square_grid(4), 2)
+    mesh = uniform_refine(uniform_refine(square_grid(4)))
     h = DofHandler(mesh, 2, dirichlet_tags=("boundary",))
     B = assemble_stiffness(h, Coefficients())
     M = assemble_mass(h)
@@ -69,7 +69,7 @@ def test_dirichlet_laplacian_on_square():
 
 
 def test_neumann_zero_mode_with_negative_shift():
-    mesh = uniform_refine(square_grid(4), 2)
+    mesh = uniform_refine(uniform_refine(square_grid(4)))
     h = DofHandler(mesh, 2)
     B = assemble_stiffness(h, Coefficients())
     M = assemble_mass(h)
@@ -117,7 +117,7 @@ def test_spd_factorization_solves():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shift", [0.0, -1.0])
 def test_solve_lowest_takes_any_sparse_format(shift):
-    mesh = uniform_refine(square_grid(4), 1)
+    mesh = uniform_refine(square_grid(4))
     h = DofHandler(mesh, 3, () if shift else ("boundary",))
     B = assemble_stiffness(h, Coefficients())
     M = assemble_mass(h)

@@ -17,7 +17,7 @@ from hpeig.problems import problem
 from hpeig.quadrature import interval_rule, triangle_rule
 from hpeig.space import DofHandler
 
-from helpers import boundary_tag_dict, interpolate
+from helpers import interpolate, side_tags
 
 
 def quadrant_region(c):
@@ -84,8 +84,7 @@ def test_element_residual_matches_fine_quadrature():
 def _two_triangle_square():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     elements = np.array([[0, 1, 2], [0, 2, 3]])
-    tags = {(0, 1): "outer", (1, 2): "outer", (2, 3): "outer", (3, 0): "outer"}
-    return Mesh(vertices, elements, tags)
+    return Mesh(vertices, elements, [["outer", "", "outer"], ["outer", "outer", ""]])
 
 
 def _edge_id(mesh, a, b):
@@ -400,8 +399,8 @@ def _renumbered(mesh, perm, rot):
     """The same mesh with elements permuted and their vertices rotated."""
     cycle = (np.arange(3)[None, :] + rot[:, None]) % 3
     elements = np.take_along_axis(mesh.elements[perm], cycle, axis=1)
-    return Mesh(mesh.vertices, elements, boundary_tag_dict(mesh),
-                region=mesh.region[perm])
+    tags = np.take_along_axis(side_tags(mesh)[perm], cycle, axis=1)
+    return Mesh(mesh.vertices, elements, tags, region=mesh.region[perm])
 
 
 @settings(max_examples=20)

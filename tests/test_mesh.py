@@ -15,7 +15,7 @@ from hpeig.mesh import (
     uniform_refine,
 )
 
-from helpers import boundary_tag_dict
+from helpers import boundary_tag_dict, side_tags
 
 
 def test_square_grid_counts():
@@ -119,7 +119,7 @@ def test_slit_square_duplicates_vertices():
 
 
 def test_slit_survives_refinement():
-    m = uniform_refine(slit_square_grid(4), 2)
+    m = uniform_refine(uniform_refine(slit_square_grid(4)))
     slit = m.edges_with_tag("slit")
     assert len(slit) == 8
     # each slit edge sees exactly one element
@@ -152,18 +152,23 @@ def test_triangle_hole_grid():
 def test_mesh_validation():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        Mesh(verts, [[0, 2, 1]], {})  # negative orientation
-    with pytest.raises(ValueError):
-        Mesh(verts, [[0, 1, 2]], {(0, 1): "b"})  # missing tags
+        Mesh(verts, [[0, 2, 1]], [["b"] * 3])  # negative orientation
+    with pytest.raises(ValueError, match="has no tag"):
+        Mesh(verts, [[0, 1, 2]], [["b", "", "b"]])
     fan = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="more than two elements"):
-        Mesh(fan, [[0, 1, 2], [0, 1, 3], [0, 1, 4]], {})
+        Mesh(fan, [[0, 1, 2], [0, 1, 3], [0, 1, 4]], [["b"] * 3] * 3)
     quad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    outline = {(0, 1): "b", (1, 2): "b", (2, 3): "b", (0, 3): "b"}
-    with pytest.raises(ValueError, match="is interior"):
-        Mesh(quad, [[0, 1, 2], [0, 2, 3]], {**outline, (2, 0): "b"})
-    with pytest.raises(ValueError, match="not in mesh"):
-        Mesh(quad, [[0, 1, 2], [0, 2, 3]], {**outline, (1, 3): "b"})
+    # (0, 2) is the interior edge: side 1 of element 0, side 2 of element 1
+    outline = [["b", "", "b"], ["b", "b", ""]]
+    for tags in ([["b"] * 3], [["b"] * 4] * 2, {(0, 1): "b"}):
+        with pytest.raises(ValueError, match="shape"):
+            Mesh(quad, [[0, 1, 2], [0, 2, 3]], tags)
+    for k, l in ((0, 1), (1, 2)):
+        tags = np.array(outline)
+        tags[k, l] = "b"
+        with pytest.raises(ValueError, match="is interior"):
+            Mesh(quad, [[0, 1, 2], [0, 2, 3]], tags)
     for name in ("region", "parent"):
         with pytest.raises(ValueError, match=name):
             Mesh(quad, [[0, 1, 2], [0, 2, 3]], outline, **{name: [0]})
@@ -311,6 +316,18 @@ def assert_tables_match(mesh, boundary_tags):
     np.testing.assert_allclose(mesh.Jinv @ mesh.J,
                                np.broadcast_to(np.eye(2), mesh.J.shape),
                                rtol=0, atol=1e-13)
+
+
+@settings(max_examples=20)
+@given(base=st.sampled_from(sorted(BASE_MESHES)), data=st.data())
+def test_side_tags_round_trip(base, data):
+    mesh = BASE_MESHES[base]()
+    for _ in range(4):
+        again = Mesh(mesh.vertices, mesh.elements, side_tags(mesh))
+        np.testing.assert_array_equal(again.edge_tag, mesh.edge_tag)
+        assert again.tag_names == mesh.tag_names
+        marked = data.draw(st.lists(st.integers(0, mesh.n_elements - 1), max_size=6))
+        mesh = refine(mesh, marked)
 
 
 @settings(max_examples=40)

@@ -11,8 +11,7 @@ from hpeig.mesh import (Mesh, refine, slit_square_grid, square_grid,
                         triangle_grid, uniform_refine)
 from hpeig.space import DofHandler, transfer
 
-from helpers import (boundary_tag_dict, evaluate, interpolate,
-                     reference_transfer)
+from helpers import evaluate, interpolate, reference_transfer, side_tags
 
 
 def mixed_degrees(mesh, lo=2, hi=4, seed=0):
@@ -395,10 +394,10 @@ def test_transfer_rejects_mesh_not_one_refine_away():
     coeffs = np.zeros(h.n_dofs)
     # parent ids index the once-refined mesh, beyond the old elements
     with pytest.raises(ValueError, match="one refine call"):
-        transfer(h, DofHandler(uniform_refine(mesh, times=2), 2), coeffs)
+        transfer(h, DofHandler(uniform_refine(uniform_refine(mesh)), 2), coeffs)
     # parent ids in range, but the elements are not images of them
     fine = uniform_refine(mesh)
-    shuffled = Mesh(fine.vertices, fine.elements, boundary_tag_dict(fine),
+    shuffled = Mesh(fine.vertices, fine.elements, side_tags(fine),
                     parent=fine.parent[::-1])
     with pytest.raises(ValueError, match="one refine call"):
         transfer(h, DofHandler(shuffled, 2), coeffs)

@@ -8,8 +8,7 @@ from hpeig.vtkio import write_vtk
 def _two_triangles():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     elems = np.array([[0, 1, 2], [0, 2, 3]])
-    tags = {(0, 1): "b", (1, 2): "b", (2, 3): "b", (0, 3): "b"}
-    return Mesh(verts, elems, tags)
+    return Mesh(verts, elems, [["b", "", "b"], ["b", "b", ""]])
 
 
 def test_file_structure(tmp_path):
