@@ -19,6 +19,8 @@ Two distinct dofs of a conforming mesh share at most two elements, and
 a + b == b + a in floating point, so the summed CSR matrix is exactly
 symmetric without a global A + A^T.  It keeps every element-clique
 entry, zeros included: its pattern depends only on the DofHandler.
+The scatter fills one preallocated int32 COO triple group by group, so
+no per-group lists are joined into copies before SciPy sums it to CSR.
 """
 
 import functools
@@ -120,46 +122,59 @@ def pulled_back_diffusion(Jinv, A):
     return Jinv @ A @ Jinv.transpose(0, 2, 1)
 
 
-def _scatter(handler, build_local):
-    """CSR sum of the symmetrized per-group element matrices."""
-    rows, cols, vals = [], [], []
-    for p, (ids, g, s) in handler.groups.items():
-        loc = build_local(p, ids)
-        loc = (0.5 * (loc + loc.transpose(0, 2, 1))
-               * s[:, :, None] * s[:, None, :])
-        r = np.broadcast_to(g[:, :, None], loc.shape)
-        c = np.broadcast_to(g[:, None, :], loc.shape)
-        ok = (r >= 0) & (c >= 0)
-        rows.append(r[ok])
-        cols.append(c[ok])
-        vals.append(loc[ok])
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(handler.n_dofs,) * 2).tocsr()
+def _signed(loc, s):
+    """(loc + loc^T) / 2 with the signs s (K, nl) on rows and columns."""
+    loc = loc + loc.transpose(0, 2, 1)
+    loc *= 0.5
+    loc *= s[:, :, None]
+    loc *= s[:, None, :]
+    return loc
+
+
+def _scatter(n, l2g, blocks):
+    """CSR sum of element matrices on n dofs.
+
+    l2g lists (K, nl) dof tables, -1 on absent modes, and blocks yields
+    the matching signed (K, nl, nl) matrices one table at a time.  The
+    int32 COO triple is allocated once and filled in table order.
+    """
+    ends = np.cumsum([0] + [np.sum(np.count_nonzero(g >= 0, axis=1) ** 2)
+                            for g in l2g])
+    rows, cols = np.empty((2, ends[-1]), dtype=np.int32)
+    vals = np.empty(ends[-1])
+    for g, loc, a, b in zip(l2g, blocks, ends, ends[1:]):
+        ok = (g[:, :, None] >= 0) & (g[:, None, :] >= 0)
+        rows[a:b] = np.broadcast_to(g[:, :, None], loc.shape)[ok]
+        cols[a:b] = np.broadcast_to(g[:, None, :], loc.shape)[ok]
+        vals[a:b] = loc[ok]
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def element_stiffness(handler, coeffs, p):
+    """Signed element matrices of B(u, v) on the degree-p group."""
+    mesh = handler.mesh
+    ids, _, s = handler.groups[p]
+    A_el, c_el = coeffs.on_elements(mesh)
+    SM = reference_kernels(p)["SM"]
+    detJ = mesh.detJ[ids]
+    C = detJ[:, None, None] * pulled_back_diffusion(mesh.Jinv[ids], A_el[ids])
+    rows = np.column_stack([C.reshape(-1, 4), c_el[ids] * detJ])
+    return _signed((rows @ SM.reshape(5, -1)).reshape(-1, *SM.shape[1:]), s)
 
 
 def assemble_stiffness(handler, coeffs):
     """Matrix of B(u, v) on the handler's dofs, CSR."""
-    mesh = handler.mesh
-    A_el, c_el = coeffs.on_elements(mesh)
-
-    def build(p, ids):
-        SM = reference_kernels(p)["SM"]
-        detJ = mesh.detJ[ids]
-        C = detJ[:, None, None] * pulled_back_diffusion(mesh.Jinv[ids],
-                                                        A_el[ids])
-        rows = np.column_stack([C.reshape(-1, 4), c_el[ids] * detJ])
-        return (rows @ SM.reshape(5, -1)).reshape(-1, *SM.shape[1:])
-
-    return _scatter(handler, build)
+    return _scatter(handler.n_dofs, [g for _, g, _ in handler.groups.values()],
+                    (element_stiffness(handler, coeffs, p)
+                     for p in handler.groups))
 
 
 def assemble_mass(handler):
     """Matrix of the L2 inner product on the handler's dofs, CSR."""
-    def build(p, ids):
-        return handler.mesh.detJ[ids, None, None] * reference_kernels(p)["M"]
-
-    return _scatter(handler, build)
+    detJ = handler.mesh.detJ[:, None, None]
+    return _scatter(handler.n_dofs, [g for _, g, _ in handler.groups.values()],
+                    (_signed(detJ[ids] * reference_kernels(p)["M"], s)
+                     for p, (ids, _, s) in handler.groups.items()))
 
 
 def assemble_load(handler, coeffs):

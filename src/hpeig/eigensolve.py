@@ -7,10 +7,12 @@ A negative shift keeps the factorization definite when B itself is only
 semidefinite (pure Neumann problems).  ARPACK needs more unknowns than
 pairs plus one, so only smaller pencils go to a dense solver.
 
-Every matrix hpeig factors is symmetric positive definite, and SPD_LU
-is the one SuperLU setting for all of them: a minimum-degree ordering
-of A^T + A applied symmetrically, with no pivoting (George and Liu,
-Computer Solution of Large Sparse Positive Definite Systems, 1981).
+Every matrix hpeig factors is symmetric positive definite (B - shift M
+here; in defects the coarse stiffness and the surrogate's condensed
+interface matrix), and SPD_LU is the one SuperLU setting for all of
+them: a minimum-degree ordering of A^T + A applied symmetrically, with
+no pivoting (George and Liu, Computer Solution of Large Sparse Positive
+Definite Systems, 1981).
 It sets relax=1: with SuperLU's default relaxed supernodes the
 16,192-dof p = 2 slit_square stiffness took 0.70 s to factor into 3.8 M
 entries, against 0.05 s and 0.67 M with relax=1.  SuperLU takes CSC

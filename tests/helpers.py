@@ -1,8 +1,10 @@
 """Test helpers: evaluation and interpolation of discrete fields, edge
 traces, a mesh's boundary tags in the form Mesh takes them, an earlier
 transfer that copies vertex, edge and bubble blocks, earlier assembly
-by einsum element matrices and a global symmetrization, and the Dubiner
-basis, an orthonormal modal basis made apart from the hierarchical one.
+by einsum element matrices and a global symmetrization, the earlier
+COO scatter of per-group entry lists, the defect report on the fully
+assembled surrogate stiffness, and the Dubiner basis, an orthonormal
+modal basis made apart from the hierarchical one.
 
 The library never evaluates a field at arbitrary points or builds one
 from a callable; the tests do both to check it independently.
@@ -13,9 +15,13 @@ import functools
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.linalg import splu
 from scipy.special import eval_jacobi
 
-from hpeig.assembly import pulled_back_diffusion, reference_kernels
+from hpeig.assembly import (assemble_load, assemble_stiffness,
+                            pulled_back_diffusion, reference_kernels)
+from hpeig.defects import DefectReport, fine_handler, prolong
+from hpeig.eigensolve import SPD_LU
 from hpeig.basis import (bubble_indices, kernel_table, legendre_table, n_local,
                          tri_shapes)
 from hpeig.mesh import CHILD_POSITIONS
@@ -282,3 +288,63 @@ def reference_load(handler, coeffs):
         ok = g >= 0
         np.add.at(out, g[ok], rhs[ok])
     return out[:, 0] if squeeze else out
+
+
+def reference_element_builders(handler, co):
+    """The element matrices of B and of the mass as functions
+    (p, ids) -> (K, nl, nl), unsymmetrized and without signs."""
+    mesh = handler.mesh
+    A_el, c_el = co.on_elements(mesh)
+
+    def stiffness(p, ids):
+        SM = reference_kernels(p)["SM"]
+        detJ = mesh.detJ[ids]
+        C = detJ[:, None, None] * pulled_back_diffusion(mesh.Jinv[ids],
+                                                        A_el[ids])
+        rows = np.column_stack([C.reshape(-1, 4), c_el[ids] * detJ])
+        return (rows @ SM.reshape(5, -1)).reshape(-1, *SM.shape[1:])
+
+    def mass(p, ids):
+        return mesh.detJ[ids, None, None] * reference_kernels(p)["M"]
+
+    return stiffness, mass
+
+
+def reference_scatter(handler, build_local):
+    """assembly's scatter as it was: int64 COO entries collected per
+    degree group in lists and concatenated, each element matrix
+    symmetrized and signed in one expression."""
+    rows, cols, vals = [], [], []
+    for p, (ids, g, s) in handler.groups.items():
+        loc = build_local(p, ids)
+        loc = (0.5 * (loc + loc.transpose(0, 2, 1))
+               * s[:, :, None] * s[:, None, :])
+        r = np.broadcast_to(g[:, :, None], loc.shape)
+        c = np.broadcast_to(g[:, None, :], loc.shape)
+        ok = (r >= 0) & (c >= 0)
+        rows.append(r[ok])
+        cols.append(c[ok])
+        vals.append(loc[ok])
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(handler.n_dofs,) * 2).tocsr()
+
+
+def reference_defect_report(handler, co, values, vectors):
+    """defects.defect_report as it was: the surrogate stiffness fully
+    assembled and factored, E and G from its products."""
+    values = np.asarray(values, dtype=float)
+    fine = fine_handler(handler)
+    Bf = assemble_stiffness(fine, co)
+    P = prolong(handler, fine, vectors)
+    W = splu(Bf.T, **SPD_LU).solve(assemble_load(fine, P))
+    D = W - P / values[None, :]
+    E = D.T @ (Bf @ D)
+    E = 0.5 * (E + E.T)
+    G = W.T @ (Bf @ W)
+    G = 0.5 * (G + G.T)
+    eta2 = scipy.linalg.eigh(E, G, eigvals_only=True)
+    S = np.diag(np.sqrt(values))
+    d_l = float(np.linalg.norm(S @ (G - np.diag(1.0 / values)) @ S, 2))
+    return DefectReport(values=values.copy(), eta2=eta2, E=E, G=G, d_l=d_l,
+                        fine_dofs=fine.n_dofs)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,12 +14,14 @@ from hpeig.assembly import (
     reference_kernels,
 )
 from hpeig.basis import tri_shapes
+from hpeig.defects import fine_handler
 from hpeig.mesh import (Mesh, refine, slit_square_grid, square_grid,
                         triangle_hole_grid)
 from hpeig.quadrature import triangle_rule
 from hpeig.space import DofHandler
 
-from helpers import evaluate, reference_load, reference_stiffness_mass
+from helpers import (evaluate, reference_element_builders, reference_load,
+                     reference_scatter, reference_stiffness_mass)
 
 
 def quadrant_regions(cents):
@@ -187,6 +191,46 @@ def test_assembly_symmetric_and_matches_reference(base, data):
     for got, want, size in zip((B, M), reference_stiffness_mass(h, co),
                                reference_stiffness_mass(h, co, True)):
         assert row_scaled_error(got, want, size) <= 1e-15
+    # the one-allocation scatter passes the list-and-concatenate path's
+    # COO entries in the same order, so the CSR arrays are bitwise equal
+    for got, build in zip((B, M), reference_element_builders(h, co)):
+        assert_same_csr(got, reference_scatter(h, build))
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+def test_assembly_on_zero_dof_space_matches_reference():
+    h = DofHandler(square_grid(1), 1, dirichlet_tags=("boundary",))
+    co = Coefficients(c=1.0)
+    for got, build in zip((assemble_stiffness(h, co), assemble_mass(h)),
+                          reference_element_builders(h, co)):
+        assert got.shape == (0, 0)
+        assert_same_csr(got, reference_scatter(h, build))
+
+
+def test_assembly_peak_memory_within_four_times_result():
+    # the defect oracle's 19,801-dof surrogate: a p = 3 square_grid(20)
+    # space bisected once at degree 5.  tracemalloc counts numpy's
+    # allocations exactly, so the ratio repeats run to run.
+    h = fine_handler(DofHandler(square_grid(20), 3, ("boundary",)))
+    assert h.n_dofs == 19801
+    co = Coefficients(c=1.0)
+    for assemble in (lambda: assemble_stiffness(h, co),
+                     lambda: assemble_mass(h)):
+        assemble()  # reference tables cached outside the count
+        tracemalloc.start()
+        try:
+            A = assemble()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        assert peak <= 4.0 * size, peak / size
 
 
 def test_stiffness_and_mass_share_one_pattern():

@@ -5,12 +5,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hpeig import defects
 from hpeig.assembly import Coefficients, assemble_mass, assemble_stiffness
-from hpeig.eigensolve import solve_lowest
-from hpeig.mesh import square_grid, uniform_refine
+from hpeig.eigensolve import SPD_LU, solve_lowest
+from hpeig.mesh import refine, square_grid, uniform_refine
 from hpeig.space import DofHandler
+
+from helpers import reference_defect_report
 
 
 def _square_cluster(n, p, m, dirichlet=("boundary",), c=0.0):
@@ -194,3 +198,94 @@ def test_oracle_checks_reject_non_coercive_before_factoring(monkeypatch):
         defects.oracle_checks(handler, Coefficients(c=0.0), np.array([1.0]),
                               np.ones((handler.n_dofs, 1)))
     assert len(calls) == 0
+
+
+@given(data=st.data())
+def test_condensed_solve_matches_full_factorisation(data):
+    mesh = square_grid(2)
+    if data.draw(st.booleans()):
+        mesh = refine(mesh, data.draw(st.lists(st.integers(0, 7), max_size=8)))
+    ne = mesh.n_elements
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    mesh.region = rng.integers(0, 2, ne)
+    # rotated, non-diagonal A per region with eigenvalues 1 .. 10
+    Q = np.linalg.qr(rng.standard_normal((2, 2, 2)))[0]
+    A = Q * 10.0 ** rng.uniform(0, 1, (2, 1, 2)) @ Q.transpose(0, 2, 1)
+    dirichlet = data.draw(st.booleans())
+    co = Coefficients(A=0.5 * (A + A.transpose(0, 2, 1)),
+                      c=rng.uniform(0.0 if dirichlet else 0.1, 5.0, 2))
+    degrees = np.array(data.draw(st.lists(st.integers(1, 10), min_size=ne,
+                                          max_size=ne)))
+    h = DofHandler(mesh, degrees, ("boundary",) if dirichlet else ())
+    B = assemble_stiffness(h, co)
+    loads = rng.standard_normal((h.n_dofs, 2))
+    got = defects.condensed_solve(h, co, loads)
+    want = scipy.sparse.linalg.splu(B.T, **SPD_LU).solve(loads)
+    # in the energy norm: at degree 10 both solves carry roundoff of
+    # about 1e-10 in the coefficients, each off a refined solution by
+    # as much as off the other
+    diff = got - want
+    assert np.sqrt(np.trace(diff.T @ (B @ diff))
+                   / np.trace(want.T @ (B @ want))) <= 1e-10
+    V = rng.standard_normal((h.n_dofs, 3))
+    energies = V.T @ (B @ V)
+    assert np.abs(defects.element_energies(h, co, V) - energies).max() \
+        <= 1e-12 * np.abs(energies).max()
+
+
+def test_interface_matrix_is_the_stiffness_without_bubbles(monkeypatch):
+    # at p <= 2 there are no bubbles: the condensed matrix that reaches
+    # SuperLU is the assembled stiffness, bit for bit
+    mesh = refine(square_grid(3), [0, 4, 9])
+    degrees = np.random.default_rng(4).integers(1, 3, mesh.n_elements)
+    h = DofHandler(mesh, degrees, ("boundary",))
+    co = Coefficients(A=[[10.0, 1.0], [1.0, 2.0]], c=0.5)
+    factored = []
+
+    def capturing_splu(A, **kwargs):
+        factored.append(A.T)
+        return scipy.sparse.linalg.splu(A, **kwargs)
+
+    monkeypatch.setattr(defects, "splu", capturing_splu)
+    defects.condensed_solve(h, co, np.ones((h.n_dofs, 1)))
+    B = assemble_stiffness(h, co)
+    (S,) = factored
+    assert S.shape == B.shape
+    for part in ("indptr", "indices", "data"):
+        assert getattr(S, part).tobytes() == getattr(B, part).tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_defect_report_matches_full_assembly(p):
+    handler, co, cluster = _square_cluster(4, p, 4)
+    got, fine = defects.defect_report(handler, co, cluster.values,
+                                      cluster.vectors)
+    want = reference_defect_report(handler, co, cluster.values,
+                                   cluster.vectors)
+    assert got.fine_dofs == want.fine_dofs == fine.n_dofs
+    assert np.allclose(got.eta2, want.eta2, rtol=1e-10, atol=0.0)
+    assert abs(got.d_l - want.d_l) <= 1e-7
+
+
+def test_cluster_bound_value_agrees_with_ok():
+    # ok compares lhs with rhs (1 + 1e-10) + 1e-14; the reported value
+    # is lhs over that same bound, and inf once the bound is not positive
+    report = defects.DefectReport(
+        values=np.array([1.0, 2.0]), eta2=np.array([1e-18, 6e-17]),
+        E=np.eye(2), G=np.eye(2), d_l=0.0, fine_dofs=1)
+    # refs above the values: rhs = -2 rise
+    for rise, ok in ((3.9e-15, True), (0.0, True), (1e-6, False)):
+        bound = defects.cluster_bound_check(report,
+                                            (1.0 + rise) * report.values, 10.0)
+        assert bound["rhs"] <= 0.0
+        assert bound["ok"] is ok
+        assert (bound["ratio"] <= 1.0) == ok
+    assert bound["ratio"] == np.inf
+    handler, co, cluster = _square_cluster(4, 2, 4)
+    checks, _ = defects.oracle_checks(handler, co, cluster.values,
+                                      cluster.vectors,
+                                      refs=1.001 * cluster.values,
+                                      next_value=100.0)
+    (check,) = [c for c in checks if c["name"] == "cluster_lower_bound"]
+    assert not check["ok"]
+    assert check["value"] == np.inf > check["tol"]
