@@ -28,9 +28,9 @@ import functools
 import numpy as np
 import scipy.sparse
 
-from .basis import tri_shapes
+from .basis import EDGE_VERTICES, tri_shapes
 from .mesh import CHILD_POSITIONS
-from .quadrature import triangle_rule
+from .quadrature import interval_rule, triangle_rule
 
 
 class Coefficients:
@@ -72,15 +72,18 @@ class Coefficients:
 def reference_kernels(p):
     """Cached reference tables for degree p on the triangle.
 
-    The estimator's edge-gradient tables (estimator._edge_gradients)
-    are the one other such cache.  Returns dict with quadrature
-    (pts, w) exact to degree 2p, value table V (nq, nl), hessian table
-    H (nq, nl, 3), mass M (nl, nl), the stacked table SM (5, nl, nl)
-    holding the stiffness blocks S_00, S_01, S_10, S_11 and then M,
-    the modal table R (nl, nl), the L2 projector P = M^-1 V^T W
-    (nl, nq) and the child tables C (6, nl, nl): C[i] = P V(images of
-    pts in mesh.CHILD_POSITIONS[i]) maps a degree-p function on a
-    parent to its coefficients on that child.
+    Every basis and quadrature evaluation in hpeig happens here.
+    Returns dict with quadrature (pts, w) exact to degree 2p, value
+    table V (nq, nl), hessian table H (nq, nl, 3), mass M (nl, nl), the
+    stacked table SM (5, nl, nl) holding the stiffness blocks S_00,
+    S_01, S_10, S_11 and then M, the modal table R (nl, nl), the L2
+    projector P = M^-1 V^T W (nl, nq), the child tables C (6, nl, nl):
+    C[i] = P V(images of pts in mesh.CHILD_POSITIONS[i]) maps a
+    degree-p function on a parent to its coefficients on that child,
+    and the edge tables E (3, 2, 2 nqe, nl) with their weights Ew
+    (nqe,): E[l, o] holds the x then y derivatives at the points of
+    interval_rule(2p + 2) on local edge l, running from the edge's
+    first local vertex to its second (o = 0) or back (o = 1).
 
     R maps local coefficients to coefficients in an L2-orthonormal
     basis graded by degree (R^T R = M): block q, the entries
@@ -88,9 +91,10 @@ def reference_kernels(p):
     triangular factor of W^(1/2) V T times T^-1, where T swaps lam_0
     for the constant lam_0 + lam_1 + lam_2, so that the leading
     n_local(q) columns of V T span P_q.  Assembly reads SM, M and V;
-    the estimator's interior residual reads V and H; transfer reads C,
-    whose leading n_local(q) columns serve a degree-q parent; the hp
-    decision reads R.
+    the estimator's interior residual reads V and H, and its edge
+    jumps read E and Ew of the largest degree; transfer reads C; the
+    hp decision reads R.  The basis is hierarchical, so the leading
+    n_local(q) columns of V, H, C and E serve degree q.
     """
     pts, w = triangle_rule(2 * p)
     sh = tri_shapes(p, pts, nderiv=2)
@@ -113,8 +117,13 @@ def reference_kernels(p):
     T[1:3, 0] = 1.0
     R = np.linalg.qr(V @ T * sw[:, None], mode="r")
     R[:, 0] -= R[:, 1:3].sum(axis=1)  # times T^-1
+    s, Ew = interval_rule(2 * p + 2)
+    ends = np.eye(3)[:, 1:][[(e, e[::-1]) for e in EDGE_VERTICES]]
+    on_edges = ends[..., :1, :] * (1.0 - s)[:, None] + ends[..., 1:, :] * s[:, None]
+    grad = tri_shapes(p, on_edges.reshape(-1, 2), nderiv=1)["grad"]
+    E = np.moveaxis(grad.reshape(3, 2, s.size, nl, 2), 4, 2).reshape(3, 2, -1, nl)
     return {"pts": pts, "w": w, "V": V, "H": H, "SM": SM, "M": M, "R": R,
-            "P": P, "C": C}
+            "P": P, "C": C, "E": E, "Ew": Ew}
 
 
 def pulled_back_diffusion(Jinv, A):

@@ -8,7 +8,7 @@ or a space with fewer than m dofs, fails here too.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .adaptivity import AdaptConfig
 from .problems import problem
@@ -30,12 +30,12 @@ class RunSetup:
 
 
 _PROBLEM_KEYS = {"name": str, "initial_cells": int}
-_ADAPT_KEYS = {"m": int, "theta": float, "sigma0": float, "p_max": int,
-               "p_init": int, "dof_budget": int, "mode": str,
-               "max_steps": int}
-_SOLVER_KEYS = {"tol": float, "max_iter": int, "seed": int}
-_SOLVER_FIELDS = {"tol": "solver_tol", "max_iter": "solver_max_iter",
-                  "seed": "seed"}
+# [solver] sets these AdaptConfig fields under shorter keys, [adapt] the rest
+_SOLVER_FIELDS = {"tol": "solver_tol", "max_iter": "solver_max_iter", "seed": "seed"}
+_FIELD_TYPES = {f.name: f.type for f in fields(AdaptConfig)}
+_SOLVER_KEYS = {k: _FIELD_TYPES[f] for k, f in _SOLVER_FIELDS.items()}
+_ADAPT_KEYS = {f: t for f, t in _FIELD_TYPES.items()
+               if f not in _SOLVER_FIELDS.values()}
 
 
 def _section(parser, name, allowed):

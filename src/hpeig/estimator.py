@@ -24,15 +24,15 @@ Totals are correctly rounded sums (math.fsum), so they do not depend
 on element order and reruns or renumberings cannot perturb marking.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import pulled_back_diffusion, reference_kernels
-from .basis import EDGE_VERTICES, GRAD_LAMBDA, tri_shapes
-from .quadrature import interval_rule
+# tri_shapes is no longer called here, but perfbench/spans.py still wraps
+# it in this namespace
+from .basis import GRAD_LAMBDA, tri_shapes  # noqa: F401
 
 # computed eigenvalues at or below this size are zero modes of pure
 # Neumann problems; value-scaled sums skip them
@@ -82,38 +82,21 @@ def element_residual_norms(handler, coeffs, values, co):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _edge_gradients(p_max):
-    """Degree-p_max gradients at the interval_rule(2 p_max + 2) edge points.
-
-    Entry [l, o] is the (2 nq, nl) table of the x then y derivatives on
-    local edge l, its points running from the edge's first local vertex
-    to its second (o = 0) or back (o = 1).  The basis is hierarchical,
-    so the first n_local(p) columns are the table of degree p.
-    """
-    s, _ = interval_rule(2 * p_max + 2)
-    ends = np.eye(3)[:, 1:][[(e, e[::-1]) for e in EDGE_VERTICES]]
-    pts = ends[..., :1, :] * (1.0 - s)[:, None] + ends[..., 1:, :] * s[:, None]
-    grad = tri_shapes(p_max, pts.reshape(-1, 2), nderiv=1)["grad"]
-    return np.moveaxis(grad.reshape(3, 2, s.size, -1, 2), 4, 2).reshape(
-        3, 2, 2 * s.size, -1)
-
-
 def edge_jump_norms(handler, coeffs, co):
     """Squared L2 norms of conormal flux jumps, shape (n_edges, m).
 
     coeffs has shape (n_dofs, m).  Interior edges carry the two-sided
     jump, Neumann edges the single-sided flux, Dirichlet edges zero.
-    Both sides are evaluated at the points of interval_rule(2 max
-    degree + 2) running from the lower to the higher global vertex,
-    read off _edge_gradients.
+    Both sides are evaluated at the same edge points, running from the
+    lower to the higher global vertex: those of the edge tables E and
+    weights Ew of reference_kernels at the largest degree, whose
+    leading n_local(p) columns serve degree p.
     """
     mesh = handler.mesh
     m = coeffs.shape[1]
     A_el, _ = co.on_elements(mesh)
-    p_max = int(handler.degrees.max())
-    _, wq = interval_rule(2 * p_max + 2)
-    tables = _edge_gradients(p_max)
+    ker = reference_kernels(int(handler.degrees.max()))
+    tables, wq = ker["E"], ker["Ew"]
 
     # pulled-back conormal of each local edge: Jinv A n = detJ W n_ref / |e|
     W = pulled_back_diffusion(mesh.Jinv, A_el)

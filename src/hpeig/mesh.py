@@ -356,24 +356,20 @@ def slit_square_grid(n):
 
 
 def triangle_grid(n, side=2.0):
-    """Equilateral triangle cut into n^2 cells, boundary tagged "boundary"."""
-    s = side / n
-    rows = []
-    verts = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1 - i):
-            row.append(len(verts))
-            verts.append((s * (j + 0.5 * i), s * i * np.sqrt(3.0) / 2.0))
-        rows.append(row)
-    vertices = np.array(verts)
+    """Equilateral triangle cut into n^2 cells, boundary tagged "boundary".
 
-    elements = []
-    for i in range(n):
-        for j in range(n - i):
-            elements.append((rows[i][j], rows[i][j + 1], rows[i + 1][j]))
-            if j < n - i - 1:
-                elements.append((rows[i][j + 1], rows[i + 1][j + 1], rows[i + 1][j]))
+    Row i from the base holds vertices i (n + 1) - i (i - 1) / 2 + j and
+    2 (n - i) - 1 cells, pointing up at even and down at odd positions t.
+    """
+    s = side / n
+    i, c = np.triu_indices(n + 1)  # vertex j = c - i of row i
+    vertices = np.column_stack([s * (c - 0.5 * i), s * i * np.sqrt(3.0) / 2.0])
+    i = np.repeat(np.arange(n), 2 * (n - np.arange(n)) - 1)
+    t = np.arange(i.size) - i * (2 * n - i)
+    a = i * (n + 1) - i * (i - 1) // 2 + t // 2  # vertex t // 2 of row i
+    b = a + n + 1 - i  # the vertex above it in row i + 1
+    elements = np.where((t % 2 == 0)[:, None], np.column_stack([a, a + 1, b]),
+                        np.column_stack([a + 1, b + 1, b]))
     elements = _normalize(vertices, elements)
     return Mesh(vertices, elements, np.where(_boundary_sides(elements), "boundary", ""))
 

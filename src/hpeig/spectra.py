@@ -1,9 +1,9 @@
 """Reference eigenvalues for the benchmark problems.
 
 Sources are one of three kinds: closed forms (square, equilateral
-triangle, slit disk via Bessel roots), high-accuracy published values
-(slit square, reaction and diffusion problems, triangle with hole), and
-cross-checks between the two where both exist.
+triangle, slit-square modes 1 and 3, slit disk via Bessel roots),
+published values (slit-square modes 2 and 4, reaction and diffusion
+problems, triangle with hole), and cross-checks where both exist.
 
 Bessel functions are scipy.special.jv and jvp (Amos, ACM TOMS 12, 1986),
 within about 1e-14 max(1, |J|) of 30-digit values for x <= 60.  Roots
@@ -184,9 +184,10 @@ def registry(name):
         "diffusion_a100": [(77.800981966, 1, 1e-8, "published"),
                            (78.564198245, 1, 1e-8, "published"),
                            (193.916538067, 1, 1e-8, "published")],
-        "slit_square": [(20.739208802, 1, 1e-8, "published"),
+        # sin(i pi x) sin(j pi y) with odd j is Neumann on the slit y = 1/2
+        "slit_square": [(square_dirichlet(1, 1) + 1.0, 1, 1e-14, "exact"),
                         (34.485320, 1, 1e-5, "published"),
-                        (50.348022005, 1, 1e-8, "published"),
+                        (square_dirichlet(2, 1) + 1.0, 1, 1e-14, "exact"),
                         (67.581165196, 1, 1e-8, "published")],
         "slit_disk": [(float(v), 1, 1e-13, "published") for v in SLIT_DISK_TABLE],
         "slit_circle_second": [(float(SLIT_CIRCLE_SECOND), 1, 1e-15, "published")],

@@ -3,8 +3,9 @@ traces, a mesh's boundary tags in the form Mesh takes them, an earlier
 transfer that copies vertex, edge and bubble blocks, earlier assembly
 by einsum element matrices and a global symmetrization, the earlier
 COO scatter of per-group entry lists, the defect report on the fully
-assembled surrogate stiffness, and the Dubiner basis, an orthonormal
-modal basis made apart from the hierarchical one.
+assembled surrogate stiffness, the Dubiner basis, an orthonormal
+modal basis made apart from the hierarchical one, and the equilateral
+triangle grid built by nested loops.
 
 The library never evaluates a field at arbitrary points or builds one
 from a callable; the tests do both to check it independently.
@@ -24,7 +25,7 @@ from hpeig.defects import DefectReport, fine_handler, prolong
 from hpeig.eigensolve import SPD_LU
 from hpeig.basis import (bubble_indices, kernel_table, legendre_table, n_local,
                          tri_shapes)
-from hpeig.mesh import CHILD_POSITIONS
+from hpeig.mesh import CHILD_POSITIONS, _normalize
 from hpeig.quadrature import interval_rule, triangle_rule
 from hpeig.space import DofHandler
 
@@ -127,6 +128,28 @@ def boundary_tag_dict(mesh):
 def side_tags(mesh):
     """The (ne, 3) side_tags array that rebuilds mesh's boundary tags."""
     return np.append(mesh.tag_names, "")[mesh.edge_tag[mesh.elem_edges]]
+
+
+def loop_triangle_grid(n, side=2.0):
+    """(vertices, elements) of mesh.triangle_grid(n, side), row by row."""
+    s = side / n
+    rows = []
+    verts = []
+    for i in range(n + 1):
+        row = []
+        for j in range(n + 1 - i):
+            row.append(len(verts))
+            verts.append((s * (j + 0.5 * i), s * i * np.sqrt(3.0) / 2.0))
+        rows.append(row)
+    vertices = np.array(verts)
+
+    elements = []
+    for i in range(n):
+        for j in range(n - i):
+            elements.append((rows[i][j], rows[i][j + 1], rows[i + 1][j]))
+            if j < n - i - 1:
+                elements.append((rows[i][j + 1], rows[i + 1][j + 1], rows[i + 1][j]))
+    return vertices, _normalize(vertices, elements)
 
 
 def _copy_blocks(dst, dst_start, src, src_start, counts):

@@ -11,6 +11,7 @@ from hpeig.assembly import Coefficients
 from hpeig.basis import tri_shapes
 from hpeig.estimator import IndicatorField
 from hpeig.mesh import Mesh, refine, slit_square_grid, square_grid
+from hpeig.problems import problem
 from hpeig.quadrature import triangle_rule
 from hpeig.space import DofHandler
 
@@ -243,6 +244,32 @@ def test_adapt_loop_slit_mixes_h_and_p():
     ka = final.mesh.edge_elems[interior, 0]
     kb = final.mesh.edge_elems[interior, 1]
     assert np.max(np.abs(final.degrees[ka] - final.degrees[kb])) <= 1
+
+
+@pytest.mark.parametrize("key, kw", [
+    ("square_dirichlet", {}),
+    ("triangle", {"theta": 1.0}),
+    ("slit_square", {}),
+    ("slit_square", {"mode": "uniform"}),
+    ("square_neumann", {}),
+], ids=["square_dirichlet", "triangle_theta1", "slit_square",
+        "slit_square_uniform", "square_neumann"])
+def test_adapt_loop_eigenvalues_never_increase(key, kw):
+    # bisection and degree raises nest conforming spaces, so no Galerkin
+    # eigenvalue rises from one step to the next: a solve that skipped
+    # an eigenvalue of the cluster would show as a rise.  The bound is
+    # rounding; the square_neumann zero mode moves by 3.4e-15 lambda_m.
+    spec = problem(key)
+    cfg = AdaptConfig(m=spec.m, dof_budget=3000, **kw)
+    handler = DofHandler(spec.mesh(), cfg.p_init, spec.dirichlet_tags)
+    records = list(adapt_loop(handler, spec.coefficients, cfg))
+    assert len(records) >= 5 and records[-1].n_dofs >= 3000
+    vals = np.array([r.cluster.values for r in records])
+    rise = np.diff(vals, axis=0) / vals[:-1, -1:]
+    step, mode = np.unravel_index(np.argmax(rise), rise.shape)
+    assert rise[step, mode] <= 1e-13, (
+        f"lambda_{mode + 1} rose by {rise[step, mode]:.2e} lambda_m "
+        f"from step {step} to {step + 1}")
 
 
 def test_adapt_loop_deterministic():

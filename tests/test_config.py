@@ -34,10 +34,12 @@ initial_cells = 8
 [adapt]
 m = 2
 theta = 0.5
+sigma0 = 0.75
 p_max = 6
 dof_budget = 1234
 mode = uniform
 p_init = 1
+max_steps = 12
 
 [solver]
 tol = 1e-8
@@ -48,6 +50,7 @@ seed = 7
     cfg = setup.config
     assert (cfg.m, cfg.theta, cfg.p_max) == (2, 0.5, 6)
     assert (cfg.dof_budget, cfg.mode, cfg.p_init) == (1234, "uniform", 1)
+    assert (cfg.sigma0, cfg.max_steps) == (0.75, 12)
     assert (cfg.solver_tol, cfg.solver_max_iter, cfg.seed) == (1e-8, 99, 7)
 
 

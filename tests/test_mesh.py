@@ -15,7 +15,7 @@ from hpeig.mesh import (
     uniform_refine,
 )
 
-from helpers import boundary_tag_dict, side_tags
+from helpers import boundary_tag_dict, loop_triangle_grid, side_tags
 
 
 def test_square_grid_counts():
@@ -134,6 +134,18 @@ def test_triangle_grid():
     m = triangle_grid(4, side=2.0)
     assert m.n_elements == 16
     assert abs(m.area.sum() - np.sqrt(3.0)) < 1e-12
+
+
+@pytest.mark.parametrize("side", [1.0, 2.0])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_triangle_grid_matches_loop_construction(n, side):
+    m = triangle_grid(n, side)
+    vertices, elements = loop_triangle_grid(n, side)
+    assert m.vertices.dtype == vertices.dtype
+    assert m.vertices.tobytes() == vertices.tobytes()
+    assert m.elements.dtype == elements.dtype
+    assert np.array_equal(m.elements, elements)
+    assert len(m.edges_with_tag("boundary")) == 3 * n
 
 
 def test_triangle_hole_grid():

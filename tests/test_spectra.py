@@ -172,6 +172,18 @@ def test_registry_keys_and_flat_expansion():
         spectra.registry("diffusion_a10").flat(4)
 
 
+def test_slit_square_exact_modes_match_published_pins():
+    # modes 1 and 3 are the closed forms 2 pi^2 + 1 and 5 pi^2 + 1; the
+    # 9-decimal values they replace must agree within their stated 1e-8
+    entries = spectra.registry("slit_square").entries
+    for (value, mult, acc, source), k, pin in zip(
+            entries[::2], (2, 5), (20.739208802, 50.348022005)):
+        assert (mult, acc, source) == (1, 1e-14, "exact")
+        assert value == pytest.approx(k * math.pi**2 + 1.0, rel=1e-15)
+        assert abs(value - pin) / pin <= 1e-8
+    assert [e[3] for e in entries[1::2]] == ["published", "published"]
+
+
 def test_verify_references_all_pass_and_fast():
     t0 = time.perf_counter()
     checks = spectra.verify_references()
