@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import aslinearoperator
 
-from .assembly import assemble_mass, assemble_stiffness, reference_kernels
-# tri_shapes is no longer called here, but perfbench/spans.py still wraps
-# it in this namespace
+# perfbench/spans.py wraps assemble_mass and tri_shapes in this namespace
+from .assembly import (Coefficients, assemble_mass,  # noqa: F401
+                       assemble_stiffness, mass_operator, reference_kernels)
 from .basis import tri_shapes  # noqa: F401
-from .eigensolve import solve_lowest
+from .eigensolve import SolverError, check_residuals, solve_lowest
 from .estimator import estimate
 from .mesh import refine
 from .space import DofHandler, transfer
@@ -147,17 +148,22 @@ def decide_refinements(handler, field, vectors, marked, cfg):
 
 
 def solve_cluster(handler, co, cfg, x0=None):
-    """Assemble B and M on handler's space and solve for the cluster.
+    """Solve for the cluster on handler's space, M as an operator.
 
     Without Dirichlet data the shift is -1, which keeps the
     factorization of a pure Neumann problem nonsingular; otherwise 0.
-    x0 (n_dofs, k) warm-starts the solve.
+    B - shift M is the stiffness with c - shift; x0 (n_dofs, k) warm-starts.
     """
-    B = assemble_stiffness(handler, co)
-    M = assemble_mass(handler)
     shift = 0.0 if handler.dirichlet_tags else -1.0
-    return solve_lowest(B, M, cfg.m, shift=shift, tol=cfg.solver_tol,
-                        max_iter=cfg.solver_max_iter, seed=cfg.seed, x0=x0)
+    B = assemble_stiffness(handler, Coefficients(co.A, co.c - shift))
+    M = mass_operator(handler)
+    cluster = solve_lowest(B, M, cfg.m, tol=cfg.solver_tol,
+                           max_iter=cfg.solver_max_iter, seed=cfg.seed, x0=x0)
+    if shift:  # residuals and tol on the pencil (B + shift M, M) asked for
+        cluster.values += shift
+        check_residuals(aslinearoperator(B) + shift * M, M, cluster,
+                        cfg.solver_tol)
+    return cluster
 
 
 def adapt_loop(handler, co, cfg):
@@ -166,7 +172,9 @@ def adapt_loop(handler, co, cfg):
     Step 0 solves on handler's space; its mesh, degrees and Dirichlet
     tags start the loop, so cfg.p_init is not read here.  Solves are
     warm-started by carrying the previous cluster through mesh
-    refinement and degree increases.
+    refinement and degree increases.  The spaces are nested, so a value
+    rising by over max(solver_tol, 1e-13) (lambda_m - shift), the solver's
+    accuracy on the factored operator, means a missed one: SolverError.
     """
     mesh, degrees = handler.mesh, handler.degrees
     prev = x0 = None
@@ -175,6 +183,12 @@ def adapt_loop(handler, co, cfg):
             handler = DofHandler(mesh, degrees, handler.dirichlet_tags)
             x0 = transfer(prev.handler, handler, prev.cluster.vectors)
         cluster = solve_cluster(handler, co, cfg, x0=x0)
+        if prev is not None:
+            rise = cluster.values - prev.cluster.values
+            scale = prev.cluster.values[-1] + (not handler.dirichlet_tags)
+            if rise.max() > max(cfg.solver_tol, 1e-13) * abs(scale):
+                raise SolverError(f"lambda_{rise.argmax() + 1} rose by "
+                                  f"{rise.max():.2e} at step {step}")
         field = estimate(handler, cluster.vectors, cluster.values, co)
         record = ConvergenceRecord(step, handler, cluster, field)
         yield record

@@ -27,6 +27,7 @@ import functools
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .basis import EDGE_VERTICES, tri_shapes
 from .mesh import CHILD_POSITIONS
@@ -184,6 +185,31 @@ def assemble_mass(handler):
     return _scatter(handler.n_dofs, [g for _, g, _ in handler.groups.values()],
                     (_signed(detJ[ids] * reference_kernels(p)["M"], s)
                      for p, (ids, _, s) in handler.groups.items()))
+
+
+def mass_operator(handler):
+    """assemble_mass(handler) as a LinearOperator on (n,) or (n, k) arrays:
+    a signed gather, one product per degree group, a scale and a bincount."""
+    n, groups = handler.n_dofs, handler.groups.values()
+    ends = np.cumsum([0] + [g.size for _, g, _ in groups]).tolist()
+    blocks = [(slice(a, b), 0.5 * (M + M.T)) for a, b, M in zip(
+        ends, ends[1:], (reference_kernels(p)["M"] for p in handler.groups))]
+    dofs = np.concatenate([np.maximum(g, 0).ravel() for _, g, _ in groups])
+    signs = np.concatenate([s.ravel() for _, _, s in groups])
+    scale = signs * np.concatenate([np.repeat(handler.mesh.detJ[ids], g.shape[1])
+                                    for ids, g, _ in groups])
+
+    def apply(x):
+        xt = x.reshape(n, -1).T  # (k, n)
+        loc = xt[:, dofs] * signs
+        out = np.concatenate([(loc[:, part].reshape(-1, len(M)) @ M).reshape(
+            len(xt), -1) for part, M in blocks], axis=1) * scale
+        flat = dofs if len(xt) == 1 else (np.arange(len(xt))[:, None] * n + dofs)
+        out = np.bincount(flat.ravel(), out.ravel(), minlength=xt.size)
+        return out.reshape(xt.shape).T.reshape(x.shape)
+
+    return scipy.sparse.linalg.LinearOperator((n, n), matvec=apply,
+                                              matmat=apply, dtype=float)
 
 
 def assemble_load(handler, coeffs):

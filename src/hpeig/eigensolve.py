@@ -5,7 +5,8 @@ ARPACK Users' Guide, 1998): B - shift M is factored once with SuperLU,
 and its solves are the operator whose largest eigenvalues ARPACK finds.
 A negative shift keeps the factorization definite when B itself is only
 semidefinite (pure Neumann problems).  ARPACK needs more unknowns than
-pairs plus one, so only smaller pencils go to a dense solver.
+pairs plus one, so only smaller pencils go to a dense solver.  M is
+only applied: at shift 0 it may be a LinearOperator (mass_operator).
 
 Every matrix hpeig factors is symmetric positive definite (B - shift M
 here; in defects the coarse stiffness and the surrogate's condensed
@@ -52,13 +53,18 @@ class EigenCluster:
     fill: int
 
 
-def _residuals(B, M, values, vectors):
-    BX = B @ vectors
-    MX = M @ vectors
+def check_residuals(B, M, cluster, tol):
+    """Set cluster.residuals, the relative residuals of its pairs on the
+    pencil (B, M), and return cluster; SolverError if one is above tol."""
+    values, BX, MX = cluster.values, B @ cluster.vectors, M @ cluster.vectors
     R = BX - MX * values[None, :]
     scale = np.linalg.norm(BX, axis=0) + np.abs(values) * np.linalg.norm(MX, axis=0)
     scale = np.maximum(scale, np.linalg.norm(MX, axis=0))
-    return np.linalg.norm(R, axis=0) / scale
+    res = cluster.residuals = np.linalg.norm(R, axis=0) / scale
+    if res.max() > tol:
+        raise SolverError(f"residual {res.max():.2e} above tolerance "
+                          f"{tol:.0e} after {cluster.iterations} solves")
+    return cluster
 
 
 def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
@@ -67,7 +73,8 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
 
     Parameters
     ----------
-    B, M : sparse matrices, symmetric; M positive definite.
+    B, M : symmetric, M positive definite.  B is sparse; M is sparse or,
+        at shift 0, a LinearOperator on (n,) and (n, k) arrays.
     m : number of pairs.
     shift : pole of the inverted operator; must stay below the spectrum
         (0 for coercive B, negative when B is singular).
@@ -86,10 +93,9 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
         raise ValueError(f"asked for {m} pairs in dimension {n}")
 
     if n <= m + 1:
-        values, vectors = scipy.linalg.eigh(B.toarray(), M.toarray(),
-                                            subset_by_index=[0, m - 1])
-        return EigenCluster(values, vectors,
-                            _residuals(B, M, values, vectors), 0, 0)
+        cluster = EigenCluster(*scipy.linalg.eigh(
+            B.toarray(), M @ np.eye(n), subset_by_index=[0, m - 1]), None, 0, 0)
+        return check_residuals(B, M, cluster, tol)
 
     rng = np.random.default_rng(seed)
     if x0 is None:
@@ -114,9 +120,5 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
     except scipy.sparse.linalg.ArpackError as exc:
         raise SolverError(f"ARPACK failed after {solves} solves: {exc}") from exc
     order = np.argsort(theta)
-    theta, X = theta[order], X[:, order]
-    res = _residuals(B, M, theta, X)
-    if res.max() > tol:
-        raise SolverError(f"residual {res.max():.2e} above tolerance "
-                          f"{tol:.0e} after {solves} solves")
-    return EigenCluster(theta, X, res, solves, F.nnz)
+    cluster = EigenCluster(theta[order], X[:, order], None, solves, F.nnz)
+    return check_residuals(B, M, cluster, tol)

@@ -173,12 +173,14 @@ def transfer(old, new, coeffs):
     pos[split] = match.argmax(axis=1)
     # whole elements write first, then split classes in (old degree, new
     # degree, position) order: a shared dof keeps the last class's value
-    classes, inverse = np.unique(
-        np.column_stack([pos >= 0, old.degrees[parent], new.degrees, pos]),
-        axis=0, return_inverse=True)
-    for c, (_, po, pn, i) in enumerate(classes.tolist()):
-        table = (np.eye(n_local(pn), n_local(po)) if i < 0
-                 else reference_kernels(pn)["C"][i, :, :n_local(po)])
+    shape = (2, *(int(new.degrees.max()) + 1,) * 2, len(CHILD_POSITIONS) + 1)
+    keys, inverse = np.unique(np.ravel_multi_index(
+        (pos >= 0, old.degrees[parent], new.degrees, pos + 1), shape),
+        return_inverse=True)
+    classes = np.column_stack(np.unravel_index(keys, shape)).tolist()
+    for c, (_, po, pn, i) in enumerate(classes):
+        table = (np.eye(n_local(pn), n_local(po)) if i == 0
+                 else reference_kernels(pn)["C"][i - 1, :, :n_local(po)])
         sel = np.nonzero(inverse == c)[0]
         d = table @ old.gather(coeffs, po, old.row[parent[sel]])
         _, l2g, signs = new.groups[pn]

@@ -3,9 +3,10 @@ traces, a mesh's boundary tags in the form Mesh takes them, an earlier
 transfer that copies vertex, edge and bubble blocks, earlier assembly
 by einsum element matrices and a global symmetrization, the earlier
 COO scatter of per-group entry lists, the defect report on the fully
-assembled surrogate stiffness, the Dubiner basis, an orthonormal
-modal basis made apart from the hierarchical one, and the equilateral
-triangle grid built by nested loops.
+assembled surrogate stiffness, the eigensolve as it was when M had
+to be sparse, the Dubiner basis, an orthonormal modal basis made apart
+from the hierarchical one, and the equilateral triangle grid built by
+nested loops.
 
 The library never evaluates a field at arbitrary points or builds one
 from a callable; the tests do both to check it independently.
@@ -16,7 +17,7 @@ import functools
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.special import eval_jacobi
 
 from hpeig.assembly import (assemble_load, assemble_stiffness,
@@ -371,3 +372,30 @@ def reference_defect_report(handler, co, values, vectors):
     d_l = float(np.linalg.norm(S @ (G - np.diag(1.0 / values)) @ S, 2))
     return DefectReport(values=values.copy(), eta2=eta2, E=E, G=G, d_l=d_l,
                         fine_dofs=fine.n_dofs)
+
+
+def reference_solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500,
+                           seed=0):
+    """solve_lowest's (values, vectors, residuals) as they were computed
+    when M had to be a sparse matrix: the dense branch converted it with
+    toarray, and the residuals were those of the pencil (B, M)."""
+    n = B.shape[0]
+    if n <= m + 1:
+        theta, X = scipy.linalg.eigh(B.toarray(), M.toarray(),
+                                     subset_by_index=[0, m - 1])
+    else:
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(n)
+        F = splu((B if shift == 0 else B - shift * M).tocsr().T, **SPD_LU)
+        theta, X = eigsh(B, k=m, M=M, sigma=shift, which="LM",
+                         OPinv=LinearOperator((n, n), matvec=F.solve,
+                                              dtype=float),
+                         v0=v0, tol=tol / 100, maxiter=max_iter, rng=rng)
+        order = np.argsort(theta)
+        theta, X = theta[order], X[:, order]
+    BX, MX = B @ X, M @ X
+    R = BX - MX * theta[None, :]
+    scale = (np.linalg.norm(BX, axis=0)
+             + np.abs(theta) * np.linalg.norm(MX, axis=0))
+    scale = np.maximum(scale, np.linalg.norm(MX, axis=0))
+    return theta, X, np.linalg.norm(R, axis=0) / scale

@@ -205,6 +205,16 @@ def test_slit_square_dof_path():
                     1751, 2089, 2455, 2826, 3241, 3691, 4158]
 
 
+def test_slit_square_uniform_dof_path():
+    # the standing uniform path (the h_uniform benchmark workload):
+    # every element bisected each step at p = 2
+    spec = problem("slit_square")
+    cfg = AdaptConfig(m=4, mode="uniform", p_init=2, dof_budget=16000)
+    handler = DofHandler(spec.mesh(), cfg.p_init, spec.dirichlet_tags)
+    path = [rec.n_dofs for rec in adapt_loop(handler, spec.coefficients, cfg)]
+    assert path == [52, 116, 232, 488, 976, 2000, 4000, 8096, 16192]
+
+
 def test_discontinuous_coefficients():
     outcomes = []
     for key, budget, tol in (("reaction_kappa10", 4000, 1e-6),

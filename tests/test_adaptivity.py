@@ -1,14 +1,18 @@
 """Marking, analyticity fit, degree smoothing, and loop behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hpeig import adaptivity
 from hpeig.adaptivity import (AdaptConfig, adapt_loop, decide_refinements,
                               estimate_analyticity, mark_fixed_fraction,
-                              smooth_degrees)
-from hpeig.assembly import Coefficients
+                              smooth_degrees, solve_cluster)
+from hpeig.assembly import Coefficients, assemble_mass, assemble_stiffness
 from hpeig.basis import tri_shapes
+from hpeig.eigensolve import SolverError, check_residuals, solve_lowest
 from hpeig.estimator import IndicatorField
 from hpeig.mesh import Mesh, refine, slit_square_grid, square_grid
 from hpeig.problems import problem
@@ -270,6 +274,135 @@ def test_adapt_loop_eigenvalues_never_increase(key, kw):
     assert rise[step, mode] <= 1e-13, (
         f"lambda_{mode + 1} rose by {rise[step, mode]:.2e} lambda_m "
         f"from step {step} to {step + 1}")
+
+
+def test_adapt_loop_raises_when_a_solve_skips_an_eigenvalue(monkeypatch):
+    # a solve that drops lambda_3 at step 3 returns lambda_4 in its place,
+    # a rise the loop's monotonicity guard reports as a solver failure
+    solve, steps = adaptivity.solve_cluster, []
+
+    def skipping(handler, co, cfg, x0=None):
+        steps.append(handler.n_dofs)
+        if len(steps) != 4:
+            return solve(handler, co, cfg, x0)
+        wide = solve(handler, co, dataclasses.replace(cfg, m=cfg.m + 1), x0)
+        keep = [0, 1, 3, 4]
+        return dataclasses.replace(wide, values=wide.values[keep],
+                                   vectors=wide.vectors[:, keep],
+                                   residuals=wide.residuals[keep])
+
+    monkeypatch.setattr(adaptivity, "solve_cluster", skipping)
+    spec = problem("square_dirichlet")
+    cfg = AdaptConfig(m=spec.m, dof_budget=3000)
+    handler = DofHandler(spec.mesh(), cfg.p_init, spec.dirichlet_tags)
+    records = []
+    with pytest.raises(SolverError, match="lambda_3 rose .* at step 3"):
+        records.extend(adapt_loop(handler, spec.coefficients, cfg))
+    assert len(records) == 3 and len(steps) == 4
+
+
+def test_adapt_loop_guard_allows_values_within_solver_tol(monkeypatch):
+    # solves accepted at solver_tol = 1e-8: every other one reports its
+    # values 5e-9 of themselves high, which a pair at that residual can
+    # be.  The rises this makes are far above rounding but inside the
+    # guard's bound, 1e-8 (lambda_m - shift), so the loop runs through.
+    solve, calls = adaptivity.solve_cluster, []
+
+    def loose(handler, co, cfg, x0=None):
+        cluster = solve(handler, co, cfg, x0)
+        calls.append(cluster.residuals.max())
+        if len(calls) % 2:
+            cluster.values *= 1 + 5e-9
+        return cluster
+
+    monkeypatch.setattr(adaptivity, "solve_cluster", loose)
+    spec = problem("square_neumann")
+    cfg = AdaptConfig(m=spec.m, dof_budget=2000, solver_tol=1e-8)
+    handler = DofHandler(spec.mesh(), cfg.p_init, spec.dirichlet_tags)
+    records = list(adapt_loop(handler, spec.coefficients, cfg))
+    assert records[-1].n_dofs >= 2000 and max(calls) <= 1e-8
+    vals = np.array([r.cluster.values for r in records])
+    assert np.diff(vals, axis=0).max() > 1e-10 * (vals[0, -1] + 1)
+
+
+def test_adapt_loop_guard_on_a_lone_zero_mode():
+    # m = 1 without Dirichlet data: lambda_m is the zero mode, and its
+    # rounding must not read as a rise; the bound scales with
+    # lambda_m - shift = lambda_m + 1
+    spec = problem("square_neumann")
+    cfg = AdaptConfig(m=1, dof_budget=1500)
+    handler = DofHandler(spec.mesh(), cfg.p_init, spec.dirichlet_tags)
+    records = list(adapt_loop(handler, spec.coefficients, cfg))
+    assert records[-1].n_dofs >= 1500
+    assert max(abs(r.cluster.values[0]) for r in records) < 1e-12
+
+
+def test_solve_cluster_residuals_are_those_of_the_unshifted_pencil(
+        monkeypatch):
+    # the pure Neumann solve factors B + M, but its residuals and their
+    # check against solver_tol refer to (B, M) and the returned values.
+    # Perturbed vectors put the residuals far above rounding.
+    spec = problem("square_neumann")
+    h = DofHandler(spec.mesh(), 3, spec.dirichlet_tags)
+    solve = adaptivity.solve_lowest
+
+    def rough(*args, **kw):
+        cluster = solve(*args, **kw)
+        wave = np.sin(np.arange(h.n_dofs))[:, None]
+        cluster.vectors += 1e-6 * wave * np.arange(1, spec.m + 1)
+        return cluster
+
+    monkeypatch.setattr(adaptivity, "solve_lowest", rough)
+    got = solve_cluster(h, spec.coefficients, AdaptConfig(m=spec.m,
+                                                          solver_tol=1.0))
+    B, M = assemble_stiffness(h, spec.coefficients), assemble_mass(h)
+    want = check_residuals(B, M, dataclasses.replace(got), 1.0).residuals
+    shifted = check_residuals(B + M, M, dataclasses.replace(
+        got, values=got.values + 1), 1.0).residuals
+    assert np.allclose(got.residuals, want, rtol=1e-9)
+    assert shifted.max() < 0.9 * want.max()
+    tol = (shifted.max() + want.max()) / 2
+    with pytest.raises(SolverError, match="above tolerance"):
+        solve_cluster(h, spec.coefficients, AdaptConfig(m=spec.m,
+                                                        solver_tol=tol))
+
+
+@pytest.mark.parametrize("key", ["slit_square", "square_neumann"])
+def test_solve_cluster_never_assembles_mass(key, monkeypatch):
+    # M enters as an operator, and the pure Neumann shift is in the
+    # stiffness (c - shift); the values match the assembled pencil
+    spec = problem(key)
+    cfg = AdaptConfig(m=spec.m)
+    h = DofHandler(spec.mesh(), 4, spec.dirichlet_tags)
+    shift = 0.0 if spec.dirichlet_tags else -1.0
+    want = solve_lowest(assemble_stiffness(h, spec.coefficients),
+                        assemble_mass(h), spec.m, shift=shift)
+
+    def boom(handler):
+        raise AssertionError("assemble_mass called")
+
+    monkeypatch.setattr("hpeig.assembly.assemble_mass", boom)
+    monkeypatch.setattr(adaptivity, "assemble_mass", boom)
+    got = solve_cluster(h, spec.coefficients, cfg)
+    assert got.iterations > 0 and got.residuals.max() <= cfg.solver_tol
+    assert np.allclose(got.values, want.values, rtol=1e-12,
+                       atol=1e-12 * want.values[-1])
+
+
+def test_solve_cluster_dense_branch_with_mass_operator():
+    # n <= m + 1 goes to the dense solver, which applies the operator
+    # to the identity instead of converting a sparse M
+    spec = problem("square_dirichlet")
+    for cells, degree, m in ((2, 1, 1), (1, 3, 3), (3, 1, 4)):
+        h = DofHandler(spec.mesh(cells), degree, spec.dirichlet_tags)
+        assert m <= h.n_dofs <= m + 1
+        got = solve_cluster(h, spec.coefficients, AdaptConfig(m=m))
+        assert got.iterations == 0
+        B = assemble_stiffness(h, spec.coefficients).toarray()
+        want = scipy.linalg.eigh(B, assemble_mass(h).toarray(),
+                                 eigvals_only=True)[:m]
+        assert np.allclose(got.values, want, rtol=1e-13)
+        assert got.residuals.max() <= 1e-13
 
 
 def test_adapt_loop_deterministic():

@@ -10,6 +10,7 @@ from hpeig.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    mass_operator,
     pulled_back_diffusion,
     reference_kernels,
 )
@@ -195,6 +196,30 @@ def test_assembly_symmetric_and_matches_reference(base, data):
     # COO entries in the same order, so the CSR arrays are bitwise equal
     for got, build in zip((B, M), reference_element_builders(h, co)):
         assert_same_csr(got, reference_scatter(h, build))
+
+
+@given(base=st.sampled_from(sorted(BASES)), data=st.data())
+def test_mass_operator_matches_assembled_mass(base, data):
+    mesh = BASES[base]()
+    for _ in range(data.draw(st.integers(1, 2))):
+        mesh = refine(mesh, data.draw(st.lists(
+            st.integers(0, mesh.n_elements - 1), min_size=1,
+            max_size=mesh.n_elements)))
+    degrees = np.array(data.draw(st.lists(
+        st.integers(1, 10), min_size=mesh.n_elements,
+        max_size=mesh.n_elements)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    k = data.draw(st.integers(2, 6))
+    # pure Neumann, then every boundary Dirichlet
+    for tags in ((), mesh.tag_names):
+        h = DofHandler(mesh, degrees, tags)
+        M, op = assemble_mass(h), mass_operator(h)
+        assert op.shape == M.shape and h.n_dofs > 0
+        for shape in ((h.n_dofs,), (h.n_dofs, 1), (h.n_dofs, k)):
+            x = rng.standard_normal(shape)
+            got, want = op @ x, M @ x
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def assert_same_csr(got, want):

@@ -12,6 +12,8 @@ from hpeig.mesh import square_grid, uniform_refine
 from hpeig.problems import problem
 from hpeig.space import DofHandler
 
+from helpers import reference_solve_lowest
+
 
 def random_pencil(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -126,6 +128,21 @@ def test_solve_lowest_takes_any_sparse_format(shift):
     for other in got[1:]:
         assert np.array_equal(other.values, got[0].values)
         assert other.fill == got[0].fill
+
+
+@pytest.mark.parametrize("tags, shift, m", [
+    (("boundary",), 0.0, 4), ((), -1.0, 4), (("boundary",), 0.0, 8)])
+def test_solve_lowest_with_sparse_mass_is_unchanged(tags, shift, m):
+    # a sparse M keeps the results it had before M could be an operator,
+    # bit for bit, on ARPACK's path and on the dense one (n = 9 = m + 1)
+    h = DofHandler(square_grid(2 if m == 8 else 4), 2, tags)
+    B = assemble_stiffness(h, Coefficients())
+    M = assemble_mass(h)
+    got = solve_lowest(B, M, m, shift=shift, seed=3)
+    want = reference_solve_lowest(B, M, m, shift=shift, seed=3)
+    assert (got.iterations == 0) == (h.n_dofs <= m + 1)
+    for part, ref in zip((got.values, got.vectors, got.residuals), want):
+        assert part.tobytes() == ref.tobytes()
 
 
 def test_warm_start_reduces_iterations():
