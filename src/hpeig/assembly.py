@@ -188,8 +188,9 @@ def assemble_mass(handler):
 
 
 def mass_operator(handler):
-    """assemble_mass(handler) as a LinearOperator on (n,) or (n, k) arrays:
-    a signed gather, one product per degree group, a scale and a bincount."""
+    """assemble_mass(handler) as a LinearOperator: per vector a signed
+    gather, one product per degree group, a scale and a bincount; scipy
+    applies it to a block column by column."""
     n, groups = handler.n_dofs, handler.groups.values()
     ends = np.cumsum([0] + [g.size for _, g, _ in groups]).tolist()
     blocks = [(slice(a, b), 0.5 * (M + M.T)) for a, b, M in zip(
@@ -200,16 +201,14 @@ def mass_operator(handler):
                                     for ids, g, _ in groups])
 
     def apply(x):
-        xt = x.reshape(n, -1).T  # (k, n)
-        loc = xt[:, dofs] * signs
-        out = np.concatenate([(loc[:, part].reshape(-1, len(M)) @ M).reshape(
-            len(xt), -1) for part, M in blocks], axis=1) * scale
-        flat = dofs if len(xt) == 1 else (np.arange(len(xt))[:, None] * n + dofs)
-        out = np.bincount(flat.ravel(), out.ravel(), minlength=xt.size)
-        return out.reshape(xt.shape).T.reshape(x.shape)
+        if not n:
+            return np.zeros(0)
+        loc = x.ravel()[dofs] * signs
+        out = np.concatenate([(loc[part].reshape(-1, len(M)) @ M).ravel()
+                              for part, M in blocks]) * scale
+        return np.bincount(dofs, out, minlength=n)
 
-    return scipy.sparse.linalg.LinearOperator((n, n), matvec=apply,
-                                              matmat=apply, dtype=float)
+    return scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
 
 
 def assemble_load(handler, coeffs):

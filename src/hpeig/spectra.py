@@ -1,14 +1,16 @@
 """Reference eigenvalues for the benchmark problems.
 
-Sources are one of three kinds: closed forms (square, equilateral
-triangle, slit-square modes 1 and 3, slit disk via Bessel roots),
-published values (slit-square modes 2 and 4, reaction and diffusion
-problems, triangle with hole), and cross-checks where both exist.
+Sources are closed forms (square, equilateral triangle, slit-square
+modes 1 and 3) and published values (slit-square modes 2 and 4, reaction
+and diffusion problems, triangle with hole); verify_references
+cross-checks them where both exist.
 
-Bessel functions are scipy.special.jv and jvp (Amos, ACM TOMS 12, 1986),
-within about 1e-14 max(1, |J|) of 30-digit values for x <= 60.  Roots
-come from safeguarded Newton steps on them, a few ulps from 30-digit
-zeros; scipy.optimize is avoided because importing it is slow.
+The slit disk is not a benchmark problem: its lowest eigenvalues,
+squared roots of quarter-order Bessel functions, check the root finder
+against 30-digit published values.  Roots come from safeguarded Newton
+steps on scipy.special.jv and jvp (Amos, ACM TOMS 12, 1986); the tests
+hold them within 1e-14 relative of mpmath's zeros.  scipy.optimize is
+avoided because importing it is slow.
 """
 
 import functools
@@ -17,20 +19,6 @@ import numbers
 from dataclasses import dataclass
 
 from scipy.special import jv, jvp
-
-
-def bessel_j(nu, x):
-    """First-kind Bessel function J_nu(x) for finite nu >= -1/2, 0 <= x <= 60.
-
-    x = 0 with nu < 0 raises ValueError, since J_nu is unbounded there.
-    """
-    if not -0.5 <= nu < math.inf:
-        raise ValueError("order must be finite and >= -1/2")
-    if not 0.0 <= x <= 60.0:
-        raise ValueError("argument outside validated range [0, 60]")
-    if x == 0 and nu < 0:
-        raise ValueError("J_nu(0) is unbounded for nu < 0")
-    return float(jv(nu, x))
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,8 +123,6 @@ SLIT_DISK_TABLE = (
     "34.8825215790904790430911907100",
 )
 
-SLIT_CIRCLE_SECOND = "9.869604401089358619"
-
 
 def slit_disk_values(count):
     """Lowest eigenvalues of the slit disk: sorted j_{(2k-1)/4, m}^2.
@@ -189,8 +175,6 @@ def registry(name):
                         (34.485320, 1, 1e-5, "published"),
                         (square_dirichlet(2, 1) + 1.0, 1, 1e-14, "exact"),
                         (67.581165196, 1, 1e-8, "published")],
-        "slit_disk": [(float(v), 1, 1e-13, "published") for v in SLIT_DISK_TABLE],
-        "slit_circle_second": [(float(SLIT_CIRCLE_SECOND), 1, 1e-15, "published")],
     }
     if name not in table:
         raise KeyError(f"no reference spectrum named {name!r}")
@@ -213,37 +197,16 @@ def verify_references():
     for k, pinned in enumerate(SLIT_DISK_TABLE, start=1):
         add(f"slit_disk_k{k}", disk[k - 1], float(pinned), 1e-11)
 
-    add("slit_circle_second_pi2", math.pi**2, float(SLIT_CIRCLE_SECOND), 1e-15)
     add("bessel_half_first_root", bessel_root(0.5, 1), math.pi, 1e-12)
-    j0_at_zero = bessel_j(0.0, 2.404825557695773)
-    checks.append({"name": "bessel_j0_zero", "got": j0_at_zero, "want": 0.0,
-                   "tol": 1e-12, "ok": abs(j0_at_zero) < 1e-12})
-    add("bessel_half_value", bessel_j(0.5, 1.0), 0.6713967071418031, 1e-13)
-
-    # scipy's J_{1/2} and J_{3/2} vs their closed forms on a grid
-    worst = 0.0
-    for i in range(1, 41):
-        x = i * 1.0
-        closed = math.sqrt(2 / (math.pi * x)) * math.sin(x)
-        closed32 = math.sqrt(2 / (math.pi * x)) * (math.sin(x) / x - math.cos(x))
-        for got, want in ((bessel_j(0.5, x), closed), (bessel_j(1.5, x), closed32)):
-            if abs(want) > 1e-8:
-                worst = max(worst, abs(got - want) / abs(want))
-    checks.append({"name": "bessel_half_orders_closed_form", "got": worst,
-                   "want": 0.0, "tol": 1e-12, "ok": worst <= 1e-12})
-
     add("square_first", registry("square_dirichlet").flat(1)[0][0],
         2 * math.pi**2, 1e-14)
     add("triangle_first", registry("triangle").flat(1)[0][0],
         16 * math.pi**2 / 3, 1e-14)
-    tri = sorted(triangle_dirichlet(m, n) for m in range(1, 11) for n in range(1, 11))[:6]
-    want, _ = registry("triangle").flat(6)
-    enum_err = max(abs(a - b) / b for a, b in zip(tri, want))
-    checks.append({"name": "triangle_enumeration", "got": enum_err, "want": 0.0,
-                   "tol": 1e-14, "ok": enum_err <= 1e-14})
-    sq = sorted(square_dirichlet(i, j) for i in range(1, 11) for j in range(1, 11))[:6]
-    want, _ = registry("square_dirichlet").flat(6)
-    enum_err = max(abs(a - b) / b for a, b in zip(sq, want))
-    checks.append({"name": "square_enumeration", "got": enum_err, "want": 0.0,
-                   "tol": 1e-14, "ok": enum_err <= 1e-14})
+    for name, key, family in (("triangle", "triangle", triangle_dirichlet),
+                              ("square", "square_dirichlet", square_dirichlet)):
+        got = sorted(family(i, j) for i in range(1, 11) for j in range(1, 11))[:6]
+        want, _ = registry(key).flat(6)
+        enum_err = max(abs(a - b) / b for a, b in zip(got, want))
+        checks.append({"name": f"{name}_enumeration", "got": enum_err,
+                       "want": 0.0, "tol": 1e-14, "ok": enum_err <= 1e-14})
     return checks

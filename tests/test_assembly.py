@@ -236,6 +236,9 @@ def test_assembly_on_zero_dof_space_matches_reference():
                           reference_element_builders(h, co)):
         assert got.shape == (0, 0)
         assert_same_csr(got, reference_scatter(h, build))
+    for shape in ((0,), (0, 3)):
+        got = mass_operator(h) @ np.zeros(shape)
+        assert got.shape == shape and got.dtype == float
 
 
 def test_assembly_peak_memory_within_four_times_result():
