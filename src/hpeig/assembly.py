@@ -77,10 +77,10 @@ def reference_kernels(p):
     Returns dict with quadrature (pts, w) exact to degree 2p, value
     table V (nq, nl), hessian table H (nq, nl, 3), mass M (nl, nl), the
     stacked table SM (5, nl, nl) holding the stiffness blocks S_00,
-    S_01, S_10, S_11 and then M, the modal table R (nl, nl), the L2
-    projector P = M^-1 V^T W (nl, nq), the child tables C (6, nl, nl):
-    C[i] = P V(images of pts in mesh.CHILD_POSITIONS[i]) maps a
-    degree-p function on a parent to its coefficients on that child,
+    S_01, S_10, S_11 and then M, the modal table R (nl, nl), the child
+    tables C (6, nl, nl): C[i] = P V(images of pts in
+    mesh.CHILD_POSITIONS[i]), with P = M^-1 V^T W the L2 projector, maps
+    a degree-p function on a parent to its coefficients on that child,
     and the edge tables E (3, 2, 2 nqe, nl) with their weights Ew
     (nqe,): E[l, o] holds the x then y derivatives at the points of
     interval_rule(2p + 2) on local edge l, running from the edge's
@@ -91,7 +91,7 @@ def reference_kernels(p):
     n_local(q-1)..n_local(q)-1, is orthogonal to P_(q-1).  It is the
     triangular factor of W^(1/2) V T times T^-1, where T swaps lam_0
     for the constant lam_0 + lam_1 + lam_2, so that the leading
-    n_local(q) columns of V T span P_q.  Assembly reads SM, M and V;
+    n_local(q) columns of V T span P_q.  Assembly reads SM and M;
     the estimator's interior residual reads V and H, and its edge
     jumps read E and Ew of the largest degree; transfer reads C; the
     hp decision reads R.  The basis is hierarchical, so the leading
@@ -124,7 +124,7 @@ def reference_kernels(p):
     grad = tri_shapes(p, on_edges.reshape(-1, 2), nderiv=1)["grad"]
     E = np.moveaxis(grad.reshape(3, 2, s.size, nl, 2), 4, 2).reshape(3, 2, -1, nl)
     return {"pts": pts, "w": w, "V": V, "H": H, "SM": SM, "M": M, "R": R,
-            "P": P, "C": C, "E": E, "Ew": Ew}
+            "C": C, "E": E, "Ew": Ew}
 
 
 def pulled_back_diffusion(Jinv, A):
@@ -212,29 +212,11 @@ def mass_operator(handler):
 
 
 def assemble_load(handler, coeffs):
-    """Load vector (f, v) for f given by coefficients in the same space.
-
-    coeffs has shape (n_dofs,) or (n_dofs, m), else ValueError; the
-    result has the same shape.  Uses pointwise quadrature values of f,
-    independently of the assembled mass matrix, in two products a group.
-    """
-    detJ = handler.mesh.detJ
+    """Load vector (f, v) for f given by coefficients in the same space,
+    shape (n_dofs,) or (n_dofs, m >= 1), else ValueError: the product of
+    mass_operator(handler), in the same shape."""
     coeffs = np.asarray(coeffs, dtype=float)
-    squeeze = coeffs.ndim == 1
-    if squeeze:
-        coeffs = coeffs[:, None]
-    n, m = handler.n_dofs, coeffs.shape[1]
-    dofs, vals = [], []
-    for p, (ids, g, s) in handler.groups.items():
-        ker = reference_kernels(p)
-        loc = np.moveaxis(handler.gather(coeffs, p), 1, 0)  # (nl, K, m)
-        fvals = ker["V"] @ loc.reshape(len(loc), -1)
-        rhs = ((ker["V"].T * ker["w"]) @ fvals).reshape(loc.shape)
-        rhs = np.moveaxis(rhs, 1, 0) * (detJ[ids, None] * s)[:, :, None]
-        ok = g >= 0
-        dofs.append(g[ok])
-        vals.append(rhs[ok])
-    flat = (np.concatenate(dofs)[:, None] * m + np.arange(m)).ravel()
-    out = np.bincount(flat, np.concatenate(vals).ravel(),
-                      minlength=n * m).reshape(n, m)
-    return out[:, 0] if squeeze else out
+    if coeffs.shape[:1] != (handler.n_dofs,) or coeffs.ndim > 2:
+        raise ValueError(f"coefficients need {handler.n_dofs} rows, got "
+                         f"shape {coeffs.shape}")
+    return mass_operator(handler) @ coeffs

@@ -12,7 +12,9 @@ factors the full stiffness.  Both factor under eigensolve.SPD_LU.
 
 In the discrete space itself the solution with an eigenpair source is
 the eigenvector divided by its eigenvalue, so the surrogate defect of
-field_i is w_i - prolong(field_i) / value_i with w_i the fine solve.
+field_i is w_i - prolong(field_i) / value_i, w_i the fine solve with
+load M prolong(field_i).  Every load here is assemble_load, the product
+of assembly.mass_operator: the M that the eigensolve applies.
 
 The defect sum is pinned between the value-weighted error energies
 (trace bounds) and bounds the value-weighted eigenvalue errors from

@@ -2,11 +2,11 @@
 traces, a mesh's boundary tags in the form Mesh takes them, an earlier
 transfer that copies vertex, edge and bubble blocks, earlier assembly
 by einsum element matrices and a global symmetrization, the earlier
-COO scatter of per-group entry lists, the defect report on the fully
-assembled surrogate stiffness, the eigensolve as it was when M had
-to be sparse, the Dubiner basis, an orthonormal modal basis made apart
-from the hierarchical one, and the equilateral triangle grid built by
-nested loops.
+COO scatter of per-group entry lists, the load by quadrature, the
+defect report on the fully assembled surrogate stiffness, the
+eigensolve as it was when M had to be sparse, the Dubiner basis, an
+orthonormal modal basis made apart from the hierarchical one, and the
+equilateral triangle grid built by nested loops.
 
 The library never evaluates a field at arbitrary points or builds one
 from a callable; the tests do both to check it independently.
@@ -20,8 +20,8 @@ import scipy.sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.special import eval_jacobi
 
-from hpeig.assembly import (assemble_load, assemble_stiffness,
-                            pulled_back_diffusion, reference_kernels)
+from hpeig.assembly import (assemble_stiffness, pulled_back_diffusion,
+                            reference_kernels)
 from hpeig.defects import DefectReport, fine_handler, prolong
 from hpeig.eigensolve import SPD_LU
 from hpeig.basis import (bubble_indices, kernel_table, legendre_table, n_local,
@@ -48,6 +48,17 @@ def _edge_gram(p):
     t, w = interval_rule(2 * p + 2)
     E = edge_shapes(p, t)[:, 2 : p + 1]
     return scipy.linalg.cho_factor((E * w[:, None]).T @ E), t, w, E
+
+
+@functools.lru_cache(maxsize=None)
+def _l2_projector(p):
+    """M^-1 V^T W (nl, nq): local coefficients of the L2 projection of
+    values at reference_kernels(p)'s points, by least squares on
+    W^(1/2) V."""
+    ker = reference_kernels(p)
+    sw = np.sqrt(ker["w"])
+    return np.linalg.lstsq(ker["V"] * sw[:, None], np.diag(sw),
+                           rcond=None)[0]
 
 
 def evaluate(handler, coeffs, elems, ref_pts, deriv=0):
@@ -110,7 +121,7 @@ def interpolate(handler, f):
         edge_part[:, bi] = 0.0
         resid = (f(phys.reshape(-1, 2)).reshape(ids.size, -1)
                  - edge_part @ ker["V"].T)
-        coeffs[l2g[:, bi]] = resid @ ker["P"][bi].T * signs[:, bi]
+        coeffs[l2g[:, bi]] = resid @ _l2_projector(p)[bi].T * signs[:, bi]
 
     out = np.zeros(handler.n_dofs)
     for p, (_, l2g, _) in handler.groups.items():
@@ -294,8 +305,8 @@ def reference_stiffness_mass(handler, co, absolute=False):
 
 
 def reference_load(handler, coeffs):
-    """assemble_load as it was: einsum through the quadrature points and
-    np.add.at into the result."""
+    """The load (f, v) by quadrature, apart from the mass matrix: einsum
+    through the quadrature points and np.add.at into the result."""
     detJ = handler.mesh.detJ
     coeffs = np.asarray(coeffs, dtype=float)
     squeeze = coeffs.ndim == 1
@@ -356,12 +367,13 @@ def reference_scatter(handler, build_local):
 
 def reference_defect_report(handler, co, values, vectors):
     """defects.defect_report as it was: the surrogate stiffness fully
-    assembled and factored, E and G from its products."""
+    assembled and factored, E and G from its products, the load by
+    reference_load's quadrature."""
     values = np.asarray(values, dtype=float)
     fine = fine_handler(handler)
     Bf = assemble_stiffness(fine, co)
     P = prolong(handler, fine, vectors)
-    W = splu(Bf.T, **SPD_LU).solve(assemble_load(fine, P))
+    W = splu(Bf.T, **SPD_LU).solve(reference_load(fine, P))
     D = W - P / values[None, :]
     E = D.T @ (Bf @ D)
     E = 0.5 * (E + E.T)

@@ -88,7 +88,8 @@ def test_load_checks_vector_length():
     h = DofHandler(mesh, 2, dirichlet_tags=("boundary",))
     # a vector over every dof, Dirichlet ones included, is too long
     full = np.ones(DofHandler(mesh, 2).n_dofs)
-    for coeffs in (full, full[:, None], full[:h.n_dofs - 1]):
+    for coeffs in (full, full[:, None], full[:h.n_dofs - 1],
+                   np.ones((h.n_dofs, 3, 1))):
         with pytest.raises(ValueError, match="rows"):
             assemble_load(h, coeffs)
 
