@@ -39,16 +39,18 @@ class Coefficients:
 
     Parameters
     ----------
-    A : list of 2x2 arrays (or a single one), indexed by mesh region.
-    c : list of floats (or a single one), indexed by mesh region.
+    A : (k, 2, 2) or (2, 2) array, symmetric positive definite, per region.
+    c : (k,) array or scalar, nonnegative, per region.
     """
 
     def __init__(self, A=((1.0, 0.0), (0.0, 1.0)), c=0.0):
         A = np.asarray(A, dtype=float)
-        if A.ndim == 2:
-            A = A[None, :, :]
-        self.A = A
-        self.c = np.atleast_1d(np.asarray(c, dtype=float))
+        c = np.asarray(c, dtype=float)
+        if A.ndim not in (2, 3) or A.shape[-2:] != (2, 2) or c.ndim > 1:
+            raise ValueError("A needs shape (2, 2) or (k, 2, 2) and c shape () "
+                             f"or (k,), got {A.shape} and {c.shape}")
+        self.A = A[None] if A.ndim == 2 else A
+        self.c = np.atleast_1d(c)
         if not (np.isfinite(self.A).all() and np.isfinite(self.c).all()):
             raise ValueError("A and c must be finite")
         for i, Ai in enumerate(self.A):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adaptivity import solve_cluster
 from .config import ConfigError, parse_config
-from .defects import oracle_checks
+from .defects import _check_coercive, oracle_checks
 from .eigensolve import SolverError
 from .problems import problem, problem_keys
 from .runner import run_study
@@ -61,17 +61,17 @@ def _cmd_oracle_check(args):
     spec = problem(setup.problem_key)
     cfg = setup.config
     handler = setup.handler
-    cluster = solve_cluster(handler, spec.coefficients, cfg)
-    vals, _ = registry(spec.reference).flat()
-    next_value = vals[cfg.m] if len(vals) > cfg.m else None
     try:
-        checks, report = oracle_checks(handler, spec.coefficients,
-                                       cluster.values, cluster.vectors,
-                                       refs=vals[:cfg.m],
-                                       next_value=next_value)
+        _check_coercive(handler, spec.coefficients)
     except ValueError as exc:
         print(f"oracle not applicable: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    cluster = solve_cluster(handler, spec.coefficients, cfg)
+    vals, _ = registry(spec.reference).flat()
+    next_value = vals[cfg.m] if len(vals) > cfg.m else None
+    checks, report = oracle_checks(handler, spec.coefficients,
+                                   cluster.values, cluster.vectors,
+                                   refs=vals[:cfg.m], next_value=next_value)
     bad = 0
     for check in checks:
         status = "ok" if check["ok"] else "FAIL"

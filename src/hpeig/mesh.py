@@ -65,34 +65,26 @@ def _edge_table(elements):
     return sides[first[order]], elem_edges, edge_elems, edge_local
 
 
-def _boundary_sides(elements):
-    """(ne, 3) mask of the element sides that lie on the boundary."""
-    _, elem_edges, edge_elems, _ = _edge_table(elements)
-    return (edge_elems[:, 1] < 0)[elem_edges]
-
-
-def _side_midpoints(vertices, elements):
-    """(ne, 3, 2) midpoints of the element sides, in EDGE_VERTICES order."""
-    return vertices[elements[:, np.array(EDGE_VERTICES)]].mean(axis=2)
-
-
 class Mesh:
     """Immutable conforming triangle mesh.
 
     Parameters
     ----------
-    vertices : ndarray (nv, 2)
-    elements : ndarray (ne, 3)
-        Positively oriented; refinement edge (v0, v1), peak v2.
+    vertices : finite ndarray (nv, 2)
+    elements : integer ndarray (ne, 3)
+        Vertex ids in [0, nv), positively oriented; refinement edge
+        (v0, v1), peak v2.
     side_tags : array_like of str (ne, 3)
         Entry [k, l] tags local edge l of element k (basis.EDGE_VERTICES
         order) where that side lies on the boundary, and is "" elsewhere.
         Every boundary side must be tagged.
     region : ndarray (ne,), optional
-        Integer material region per element, default 0.
+        Integer material region per element, >= 0, default 0.
     parent : ndarray (ne,), optional
         Element id in the mesh this one was refined from (identity for
         meshes built from scratch).
+
+    Input that breaks any of these rules raises ValueError.
 
     Every derived array is set here, once.  Element k's affine map is
     x -> vertices[elements[k, 0]] + J[k] x: J (ne, 2, 2) has the edge
@@ -107,7 +99,16 @@ class Mesh:
     def __init__(self, vertices, elements, side_tags, region=None,
                  parent=None):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.elements = np.asarray(elements, dtype=np.int64)
+        elements = np.asarray(elements)
+        if (self.vertices.ndim != 2 or self.vertices.shape[1] != 2
+                or not np.isfinite(self.vertices).all()):
+            raise ValueError("vertices must be a finite (nv, 2) array")
+        nv = self.vertices.shape[0]
+        if (elements.ndim != 2 or elements.shape[1] != 3
+                or not np.issubdtype(elements.dtype, np.integer)
+                or np.any((elements < 0) | (elements >= nv))):
+            raise ValueError(f"elements must be (ne, 3) integer ids in [0, {nv})")
+        self.elements = elements.astype(np.int64, copy=False)
         ne = self.elements.shape[0]
         self.region = (np.zeros(ne, dtype=np.int64) if region is None
                        else np.asarray(region, dtype=np.int64))
@@ -116,6 +117,8 @@ class Mesh:
         for name in ("region", "parent"):
             if getattr(self, name).shape != (ne,):
                 raise ValueError(f"{name} needs one entry per element ({ne})")
+        if np.any(self.region < 0):
+            raise ValueError("region ids must be >= 0")
 
         v = self.vertices[self.elements]
         J = self.J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
@@ -138,20 +141,16 @@ class Mesh:
         side = np.asarray(side_tags, dtype=str)
         if side.shape != (ne, 3):
             raise ValueError(f"side_tags needs shape ({ne}, 3), got {side.shape}")
-        boundary = self.boundary_mask
-        # column 1 of a boundary edge gathers side -1 and is never read
-        tags = side[self.edge_elems, self.edge_local]
-        inner = ~boundary & np.any(tags != "", axis=1)
-        if np.any(inner):
-            e = int(np.argmax(inner))
-            raise ValueError(f"tagged edge {tuple(self.edges[e].tolist())} is interior")
-        untagged = boundary & (tags[:, 0] == "")
-        if np.any(untagged):
-            e = int(np.argmax(untagged))
-            raise ValueError(f"boundary edge {tuple(self.edges[e].tolist())} has no tag")
-        self.tag_names = sorted(set(tags[boundary, 0].tolist()))
-        self.edge_tag = np.where(boundary,
-                                 np.searchsorted(self.tag_names, tags[:, 0]), -1)
+        boundary = self.boundary_mask[self.elem_edges]
+        for bad, what in ((~boundary & (side != ""), "tagged edge {} is interior"),
+                          (boundary & (side == ""), "boundary edge {} has no tag")):
+            if np.any(bad):
+                e = self.elem_edges.flat[np.argmax(bad)]
+                raise ValueError(what.format(tuple(self.edges[e].tolist())))
+        self.tag_names = sorted(set(side[boundary].tolist()))
+        self.edge_tag = np.full(self.n_edges, -1, dtype=np.int64)
+        self.edge_tag[self.elem_edges[boundary]] = np.searchsorted(
+            self.tag_names, side[boundary])
 
         ev = self.vertices[self.edges]
         self.edge_length = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)
@@ -288,18 +287,23 @@ def _normalize(vertices, elements):
     flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
     elements[flip] = elements[flip][:, [0, 2, 1]]
     v = vertices[elements]
-    lengths = np.stack([
-        np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
-        np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
-        np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
-    ], axis=1)
+    # column r: the length of the edge opposite vertex r
+    lengths = np.linalg.norm(v[:, [2, 0, 1]] - v[:, [1, 2, 0]], axis=2)
     # peak opposite the longest edge; break ties toward the lowest index
     peak = np.argmax(lengths > lengths.max(axis=1, keepdims=True) - 1e-12, axis=1)
-    out = elements.copy()
-    for r, order in ((1, (2, 0, 1)), (0, (1, 2, 0))):
-        rows = peak == r
-        out[rows] = elements[rows][:, order]
-    return out
+    return np.take_along_axis(elements, (peak[:, None] + [1, 2, 0]) % 3, axis=1)
+
+
+def _tagged_mesh(vertices, elements, tag_of, region=None):
+    """Mesh whose boundary sides take their tags from tag_of(midpoints).
+
+    tag_of maps the (ne, 3, 2) side midpoints (EDGE_VERTICES order) to
+    (ne, 3) tags or one tag for all; Mesh rejects a boundary side tagged "".
+    """
+    _, elem_edges, edge_elems, _ = _edge_table(elements)
+    mid = vertices[elements[:, np.array(EDGE_VERTICES)]].mean(axis=2)
+    tags = np.where((edge_elems[:, 1] < 0)[elem_edges], tag_of(mid), "")
+    return Mesh(vertices, elements, tags, region=region)
 
 
 def _unit_square(n):
@@ -321,8 +325,7 @@ def square_grid(n, region_fn=None):
     vertices, elements = _unit_square(n)
     elements = _normalize(vertices, elements)
     region = None if region_fn is None else region_fn(vertices[elements].mean(axis=1))
-    return Mesh(vertices, elements, np.where(_boundary_sides(elements), "boundary", ""),
-                region=region)
+    return _tagged_mesh(vertices, elements, lambda mid: "boundary", region)
 
 
 def slit_square_grid(n):
@@ -345,14 +348,11 @@ def slit_square_grid(n):
     vertices = np.vstack([vertices, vertices[on_slit]])
     elements = _normalize(vertices, elements)
 
-    bnd = _boundary_sides(elements)
-    mid = _side_midpoints(vertices, elements)
-    on_outer = np.any((mid < 1e-12) | (mid > 1 - 1e-12), axis=2)
-    on_slit = (np.abs(mid[..., 1] - 0.5) < 1e-12) & (mid[..., 0] > 0.5)
-    unknown = bnd & ~(on_outer | on_slit)
-    if np.any(unknown):
-        raise ValueError(f"unclassified boundary edge at {mid[unknown][0]}")
-    return Mesh(vertices, elements, np.where(bnd, np.where(on_outer, "outer", "slit"), ""))
+    def tag_of(mid):
+        on_outer = np.any((mid < 1e-12) | (mid > 1 - 1e-12), axis=2)
+        on_slit = (np.abs(mid[..., 1] - 0.5) < 1e-12) & (mid[..., 0] > 0.5)
+        return np.select([on_outer, on_slit], ["outer", "slit"], "")
+    return _tagged_mesh(vertices, elements, tag_of)
 
 
 def triangle_grid(n, side=2.0):
@@ -370,8 +370,7 @@ def triangle_grid(n, side=2.0):
     b = a + n + 1 - i  # the vertex above it in row i + 1
     elements = np.where((t % 2 == 0)[:, None], np.column_stack([a, a + 1, b]),
                         np.column_stack([a + 1, b + 1, b]))
-    elements = _normalize(vertices, elements)
-    return Mesh(vertices, elements, np.where(_boundary_sides(elements), "boundary", ""))
+    return _tagged_mesh(vertices, _normalize(vertices, elements), lambda mid: "boundary")
 
 
 def triangle_hole_grid():
@@ -384,9 +383,8 @@ def triangle_hole_grid():
     centroid = np.array([1.0, np.sqrt(3.0) / 3.0])
     keep = np.linalg.norm(full.centroids() - centroid, axis=1) > 1e-9
     elements = full.elements[keep]
-    near = np.linalg.norm(_side_midpoints(full.vertices, elements) - centroid, axis=2) < 0.3
     used = np.unique(elements)
     remap = -np.ones(full.n_vertices, dtype=np.int64)
     remap[used] = np.arange(used.size)
-    return Mesh(full.vertices[used], remap[elements],
-                np.where(_boundary_sides(elements), np.where(near, "hole", "outer"), ""))
+    return _tagged_mesh(full.vertices[used], remap[elements], lambda mid: np.where(
+        np.linalg.norm(mid - centroid, axis=2) < 0.3, "hole", "outer"))

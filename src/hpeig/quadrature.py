@@ -38,12 +38,9 @@ def triangle_rule(degree):
     points : ndarray, shape (n*n, 2)
     weights : ndarray, shape (n*n,)
     """
-    n = max(1, (int(degree) + 2) // 2)
-    xg, wg = roots_legendre(n)
-    u = 0.5 * (xg + 1.0)
-    a = 0.5 * wg
+    u, a = interval_rule(degree)
     # weight (1 - t) on [0, 1] via Jacobi(1, 0) on [-1, 1]
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xj, wj = roots_jacobi(u.size, 1.0, 0.0)
     v = 0.5 * (xj + 1.0)
     b = 0.25 * wj
 

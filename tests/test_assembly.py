@@ -110,6 +110,12 @@ def test_stiffness_symmetric_positive():
     assert evals.min() > 0
 
 
+def test_coefficients_reject_malformed_shapes():
+    for bad in ({"A": np.eye(3)}, {"c": [[1.0, 2.0], [3.0, 4.0]]}):
+        with pytest.raises(ValueError, match="shape"):
+            Coefficients(**bad)
+
+
 def test_coefficients_validation():
     with pytest.raises(ValueError):
         Coefficients(A=[[1.0, 2.0], [0.0, 1.0]])  # not symmetric

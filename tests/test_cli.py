@@ -184,6 +184,16 @@ name = square_neumann
     assert "not applicable" in capsys.readouterr().err
 
 
+def test_oracle_check_not_coercive_exits_2_before_solving(tmp_path, capsys,
+                                                          monkeypatch):
+    def boom(*a, **kw):
+        raise SolverError("did not converge")
+    monkeypatch.setattr("hpeig.adaptivity.solve_lowest", boom)
+    cfg = write_config(tmp_path, "[problem]\nname = square_neumann\n")
+    assert cli.main(["oracle-check", "--config", cfg]) == 2
+    assert "oracle not applicable" in capsys.readouterr().err
+
+
 def test_oracle_check_space_below_m_dofs_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_SPACE)
     assert cli.main(["oracle-check", "--config", cfg]) == 2

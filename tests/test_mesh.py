@@ -188,6 +188,35 @@ def test_mesh_validation():
         square_grid(2, region_fn=lambda c: np.array([1]))
 
 
+QUAD = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("vertices, elements, match", [
+    (QUAD, [[0, 1, 2], [1, 3, -2]], "elements"),
+    (QUAD[:3], [[0.0, 1.5, 2]], "elements"),
+    (QUAD, [[0, 1, 2, 3]], "elements"),
+    (QUAD, [[0, 1, 4]], "elements"),
+    (np.column_stack([QUAD, np.ones(4)]), [[0, 1, 2]], "vertices"),
+    (np.where(QUAD == 1.0, np.inf, QUAD), [[0, 1, 2]], "vertices"),
+], ids=["negative_id", "fractional_id", "four_columns", "id_out_of_range",
+        "3d_vertices", "infinite_vertex"])
+def test_mesh_rejects_malformed_connectivity(vertices, elements, match):
+    tags = np.full((len(elements), 3), "b")
+    with pytest.raises(ValueError, match=match):
+        Mesh(vertices, elements, tags)
+
+
+def test_mesh_rejects_negative_region():
+    with pytest.raises(ValueError, match="region ids"):
+        square_grid(2, region_fn=lambda c: np.full(len(c), -1))
+
+
+def test_empty_mesh_stays_valid():
+    m = Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64),
+             np.zeros((0, 3), dtype=str))
+    assert m.n_elements == m.n_edges == 0 and m.tag_names == []
+
+
 def test_refine_rejects_invalid_marks():
     m = square_grid(2)
     for marked in ([-1], [8], [0.7], [True]):
