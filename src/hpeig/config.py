@@ -3,8 +3,8 @@
 A run file has a [problem] section naming the benchmark and optional
 [adapt] and [solver] sections overriding the defaults in AdaptConfig.
 Unknown sections or keys are rejected so typos fail loudly.  The initial
-mesh and space are built once, so a mesh the problem's builder rejects,
-or a space with fewer than m dofs, fails here too.
+mesh and space are built once, so a mesh the problem's builder rejects
+or has no memory for, or a space with fewer than m dofs, fails here too.
 """
 
 import configparser
@@ -98,7 +98,7 @@ def parse_config(path):
                           f"eigenvalues of problem {spec.key!r}")
     try:
         mesh = spec.mesh(cells)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"initial_cells = {cells}: {exc}") from exc
     handler = DofHandler(mesh, cfg.p_init, spec.dirichlet_tags)
     if handler.n_dofs < cfg.m:

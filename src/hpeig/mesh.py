@@ -110,15 +110,15 @@ class Mesh:
             raise ValueError(f"elements must be (ne, 3) integer ids in [0, {nv})")
         self.elements = elements.astype(np.int64, copy=False)
         ne = self.elements.shape[0]
-        self.region = (np.zeros(ne, dtype=np.int64) if region is None
-                       else np.asarray(region, dtype=np.int64))
-        self.parent = (np.arange(ne, dtype=np.int64) if parent is None
-                       else np.asarray(parent, dtype=np.int64))
-        for name in ("region", "parent"):
-            if getattr(self, name).shape != (ne,):
-                raise ValueError(f"{name} needs one entry per element ({ne})")
-        if np.any(self.region < 0):
-            raise ValueError("region ids must be >= 0")
+        for name, ids in (("region", np.zeros(ne) if region is None else region),
+                          ("parent", np.arange(ne) if parent is None else parent)):
+            ids = np.asarray(ids)
+            with np.errstate(invalid="ignore"):  # NaN fails the check below
+                value = ids.astype(np.int64, copy=False)
+            if value.shape != (ne,) or np.any(value != ids) or np.any(value < 0):
+                raise ValueError(f"{name} ids must be integers >= 0, one per "
+                                 f"element ({ne})")
+            setattr(self, name, value)
 
         v = self.vertices[self.elements]
         J = self.J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)

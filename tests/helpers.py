@@ -390,7 +390,9 @@ def reference_solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500,
                            seed=0):
     """solve_lowest's (values, vectors, residuals) as they were computed
     when M had to be a sparse matrix: the dense branch converted it with
-    toarray, and the residuals were those of the pencil (B, M)."""
+    toarray, and the residuals were those of the pencil (B, M).  The
+    factor of A^T is solved transposed, A x = b, as solve_lowest does;
+    a cold solve that the inertia count accepts returns these."""
     n = B.shape[0]
     if n <= m + 1:
         theta, X = scipy.linalg.eigh(B.toarray(), M.toarray(),
@@ -400,8 +402,9 @@ def reference_solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500,
         v0 = rng.standard_normal(n)
         F = splu((B if shift == 0 else B - shift * M).tocsr().T, **SPD_LU)
         theta, X = eigsh(B, k=m, M=M, sigma=shift, which="LM",
-                         OPinv=LinearOperator((n, n), matvec=F.solve,
-                                              dtype=float),
+                         OPinv=LinearOperator(
+                             (n, n), matvec=lambda b: F.solve(b, trans="T"),
+                             dtype=float),
                          v0=v0, tol=tol / 100, maxiter=max_iter, rng=rng)
         order = np.argsort(theta)
         theta, X = theta[order], X[:, order]

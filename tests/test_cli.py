@@ -80,6 +80,8 @@ def test_run_m_above_references_exits_2(tmp_path, capsys):
     ("solver", "seed = -1"),
     ("problem", "initial_cells = 0"),
     ("problem", "initial_cells = -2"),
+    # the mesh's first array, 8 PB of grid coordinates, cannot be allocated
+    ("problem", f"initial_cells = {10**15}"),
 ])
 def test_run_out_of_range_setting_exits_2(tmp_path, capsys, section, setting):
     # [problem] settings join the name line; a second [problem] header

@@ -5,9 +5,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import hpeig.cli as cli
+import hpeig.eigensolve as eigensolve
 from hpeig.assembly import Coefficients, assemble_mass, assemble_stiffness
 from hpeig.defects import fine_handler
-from hpeig.eigensolve import SPD_LU, SolverError, solve_lowest
+from hpeig.eigensolve import SPD_LU, SolverError, count_below, solve_lowest
 from hpeig.mesh import square_grid, uniform_refine
 from hpeig.problems import problem
 from hpeig.space import DofHandler
@@ -178,3 +179,66 @@ def test_run_exits_3_when_arpack_does_not_converge(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")]) == 3
     assert "ARPACK" in capsys.readouterr().err
+
+
+def coarse_pencil(key):
+    spec = problem(key)
+    h = DofHandler(spec.mesh(), 3, spec.dirichlet_tags)
+    return assemble_stiffness(h, spec.coefficients), assemble_mass(h)
+
+
+def test_count_below_matches_dense_counts():
+    # square_dirichlet's coarse space splits the double 5 pi^2 into
+    # lambda_2 < lambda_3, 1.8e-4 apart relative; counts either side of
+    # each value and between the two agree with the dense spectrum
+    B, M = coarse_pencil("square_dirichlet")
+    lam = scipy.linalg.eigh(B.toarray(), M.toarray(), eigvals_only=True)
+    assert 0 < lam[2] - lam[1] < 1e-3 * lam[1]
+    taus = np.concatenate([lam[:5, None] * (1.0 + np.array([-1e-6, 1e-6])),
+                           0.5 * (lam[:12, None] + lam[1:13, None])], axis=None)
+    for tau in taus:
+        assert count_below(B, M, tau) == np.count_nonzero(lam < tau)
+    # a cut: m = 2 takes one value of the pair, and nothing is missing
+    got = solve_lowest(B, M, 2, seed=0)
+    assert np.allclose(got.values, lam[:2], rtol=1e-12)
+    tau = got.values[-1] * (1.0 - 1e-6)
+    assert count_below(B, M, tau) == np.count_nonzero(got.values < tau) == 1
+    # a miss: values 1, 2 and 4 lose lambda_3, and one count shows it
+    tau = lam[3] * (1.0 - 1e-6)
+    assert count_below(B, M, tau) == 3
+    assert np.count_nonzero(lam[[0, 1, 3]] < tau) == 2
+
+
+def test_count_below_singular_is_solver_error():
+    B = scipy.sparse.diags([1.0, 2.0, 3.0]).tocsr()
+    M = scipy.sparse.identity(3, format="csr")
+    assert count_below(B, M, 2.5) == 2
+    with pytest.raises(SolverError, match="inertia"):
+        count_below(B, M, 2.0)
+
+
+def test_cold_solves_find_the_double_eigenvalue(monkeypatch):
+    # triangle_hole at p = 3 (45 dofs) has a double lambda_2 = lambda_3;
+    # ARPACK alone misses one copy for a third of the seeds, and the
+    # inertia count with the deflated pass finds it on every one
+    B, M = coarse_pencil("triangle_hole")
+    lam = scipy.linalg.eigh(B.toarray(), M.toarray(), eigvals_only=True)[:3]
+    assert abs(lam[2] - lam[1]) < 1e-10 * lam[1]
+    counts, count = [], eigensolve.count_below
+
+    def counting(*args):
+        counts.append(count(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(eigensolve, "count_below", counting)
+    for seed in range(40):
+        got = solve_lowest(B, M, 3, seed=seed)
+        assert np.allclose(got.values, lam, rtol=1e-10), seed
+    assert len(counts) > 40  # the deflated pass ran, and was counted again
+
+
+def test_count_that_still_disagrees_is_solver_error(monkeypatch):
+    B, M = random_pencil(200, seed=4)
+    monkeypatch.setattr(eigensolve, "count_below", lambda B, M, tau: 5)
+    with pytest.raises(SolverError, match="inertia count"):
+        solve_lowest(B, M, 3, seed=0)

@@ -211,6 +211,22 @@ def test_mesh_rejects_negative_region():
         square_grid(2, region_fn=lambda c: np.full(len(c), -1))
 
 
+def test_mesh_rejects_fractional_region():
+    # 1.9 x reaches 1.43 on the element centroids; no id is truncated
+    with pytest.raises(ValueError, match="region ids must be integers"):
+        square_grid(2, region_fn=lambda c: 1.9 * c[:, 0])
+    whole = square_grid(2, region_fn=lambda c: 2.0 * (c[:, 0] > 0.5))
+    assert whole.region.dtype == np.int64
+    assert set(whole.region.tolist()) == {0, 2}
+
+
+@pytest.mark.parametrize("parent", [[-5, 99], [0.5, 1], [0, np.nan]])
+def test_mesh_rejects_negative_or_fractional_parent(parent):
+    with pytest.raises(ValueError, match="parent ids must be integers"):
+        Mesh(QUAD, [[0, 1, 2], [0, 2, 3]], [["b", "", "b"], ["b", "b", ""]],
+             parent=parent)
+
+
 def test_empty_mesh_stays_valid():
     m = Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64),
              np.zeros((0, 3), dtype=str))
