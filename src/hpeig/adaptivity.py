@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import aslinearoperator
 
-# perfbench/spans.py wraps assemble_mass and tri_shapes in this namespace
-from .assembly import (Coefficients, assemble_mass,  # noqa: F401
-                       assemble_stiffness, mass_operator, reference_kernels)
+from .assembly import (Coefficients, assemble_mass, assemble_stiffness,
+                       mass_operator, reference_kernels)
+# perfbench/spans.py wraps tri_shapes in this namespace
 from .basis import tri_shapes  # noqa: F401
 from .eigensolve import SolverError, check_residuals, solve_lowest
 from .estimator import estimate
@@ -148,21 +148,23 @@ def decide_refinements(handler, field, vectors, marked, cfg):
 
 
 def solve_cluster(handler, co, cfg, x0=None):
-    """Solve for the cluster on handler's space, M as an operator.
+    """Solve for the cluster on handler's space.
 
     Without Dirichlet data the shift is -1, which keeps the
     factorization of a pure Neumann problem nonsingular; otherwise 0.
     B - shift M is the stiffness with c - shift; x0 (n_dofs, k) warm-starts.
+    A cold solve assembles M for solve_lowest's inertia count; warm
+    solves apply it as mass_operator.
     """
     shift = 0.0 if handler.dirichlet_tags else -1.0
     B = assemble_stiffness(handler, Coefficients(co.A, co.c - shift))
-    M = mass_operator(handler)
+    M = assemble_mass(handler) if x0 is None else mass_operator(handler)
     cluster = solve_lowest(B, M, cfg.m, tol=cfg.solver_tol,
                            max_iter=cfg.solver_max_iter, seed=cfg.seed, x0=x0)
     if shift:  # residuals and tol on the pencil (B + shift M, M) asked for
         cluster.values += shift
-        check_residuals(aslinearoperator(B) + shift * M, M, cluster,
-                        cfg.solver_tol)
+        check_residuals(aslinearoperator(B) + shift * aslinearoperator(M), M,
+                        cluster, cfg.solver_tol)
     return cluster
 
 

@@ -17,7 +17,7 @@ import functools
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import splu
 from scipy.special import eval_jacobi
 
 from hpeig.assembly import (assemble_stiffness, pulled_back_diffusion,
@@ -386,28 +386,12 @@ def reference_defect_report(handler, co, values, vectors):
                         fine_dofs=fine.n_dofs)
 
 
-def reference_solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500,
-                           seed=0):
-    """solve_lowest's (values, vectors, residuals) as they were computed
-    when M had to be a sparse matrix: the dense branch converted it with
-    toarray, and the residuals were those of the pencil (B, M).  The
-    factor of A^T is solved transposed, A x = b, as solve_lowest does;
-    a cold solve that the inertia count accepts returns these."""
-    n = B.shape[0]
-    if n <= m + 1:
-        theta, X = scipy.linalg.eigh(B.toarray(), M.toarray(),
-                                     subset_by_index=[0, m - 1])
-    else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        F = splu((B if shift == 0 else B - shift * M).tocsr().T, **SPD_LU)
-        theta, X = eigsh(B, k=m, M=M, sigma=shift, which="LM",
-                         OPinv=LinearOperator(
-                             (n, n), matvec=lambda b: F.solve(b, trans="T"),
-                             dtype=float),
-                         v0=v0, tol=tol / 100, maxiter=max_iter, rng=rng)
-        order = np.argsort(theta)
-        theta, X = theta[order], X[:, order]
+def reference_solve_lowest(B, M, m):
+    """The lowest m pairs of the dense pencil (B, M) as (values, vectors,
+    residuals), the residuals computed as check_residuals does.
+    solve_lowest's dense branch (n <= m + 1) returns these bit for bit."""
+    theta, X = scipy.linalg.eigh(B.toarray(), M.toarray(),
+                                 subset_by_index=[0, m - 1])
     BX, MX = B @ X, M @ X
     R = BX - MX * theta[None, :]
     scale = (np.linalg.norm(BX, axis=0)

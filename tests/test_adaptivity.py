@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hpeig import adaptivity
+from hpeig import adaptivity, eigensolve
 from hpeig.adaptivity import (AdaptConfig, adapt_loop, decide_refinements,
                               estimate_analyticity, mark_fixed_fraction,
                               smooth_degrees, solve_cluster)
@@ -369,24 +369,49 @@ def test_solve_cluster_residuals_are_those_of_the_unshifted_pencil(
 
 @pytest.mark.parametrize("key", ["slit_square", "square_neumann"])
 def test_solve_cluster_never_assembles_mass(key, monkeypatch):
-    # M enters as an operator, and the pure Neumann shift is in the
-    # stiffness (c - shift); the values match the assembled pencil
+    # a warm solve takes M as an operator, and the pure Neumann shift is
+    # in the stiffness (c - shift); the values match the assembled pencil
     spec = problem(key)
     cfg = AdaptConfig(m=spec.m)
     h = DofHandler(spec.mesh(), 4, spec.dirichlet_tags)
     shift = 0.0 if spec.dirichlet_tags else -1.0
     want = solve_lowest(assemble_stiffness(h, spec.coefficients),
                         assemble_mass(h), spec.m, shift=shift)
+    x0 = want.vectors + 1e-3 * np.sin(np.arange(h.n_dofs))[:, None]
 
     def boom(handler):
         raise AssertionError("assemble_mass called")
 
     monkeypatch.setattr("hpeig.assembly.assemble_mass", boom)
     monkeypatch.setattr(adaptivity, "assemble_mass", boom)
-    got = solve_cluster(h, spec.coefficients, cfg)
+    got = solve_cluster(h, spec.coefficients, cfg, x0=x0)
     assert got.iterations > 0 and got.residuals.max() <= cfg.solver_tol
     assert np.allclose(got.values, want.values, rtol=1e-12,
                        atol=1e-12 * want.values[-1])
+
+
+def test_step_0_is_certified_by_the_inertia_count(monkeypatch):
+    # step 0 of a study is a cold solve on an assembled M, so the count
+    # runs, and triangle_hole at m = 3, p = 3 (45 dofs) returns both
+    # copies of its double lambda_2 = lambda_3 for every seed
+    spec = problem("triangle_hole")
+    h = DofHandler(spec.mesh(), 3, spec.dirichlet_tags)
+    B = assemble_stiffness(h, spec.coefficients).toarray()
+    lam = scipy.linalg.eigh(B, assemble_mass(h).toarray(),
+                            eigvals_only=True)[:3]
+    counts, count = [], eigensolve.count_below
+
+    def counting(*args):
+        counts.append(count(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(eigensolve, "count_below", counting)
+    for seed in range(40):
+        cfg = AdaptConfig(m=3, p_init=3, dof_budget=1, seed=seed)
+        counts.clear()
+        (record,) = adapt_loop(h, spec.coefficients, cfg)
+        assert counts, seed
+        assert np.allclose(record.cluster.values, lam, rtol=1e-10), seed
 
 
 def test_solve_cluster_dense_branch_with_mass_operator():
