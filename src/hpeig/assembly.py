@@ -75,7 +75,8 @@ class Coefficients:
 def reference_kernels(p):
     """Cached reference tables for degree p on the triangle.
 
-    Every basis and quadrature evaluation in hpeig happens here.
+    Every basis and quadrature evaluation in hpeig happens here, in three
+    tri_shapes calls: quadrature, child-image and edge points.
     Returns dict with quadrature (pts, w) exact to degree 2p, value
     table V (nq, nl), hessian table H (nq, nl, 3), mass M (nl, nl), the
     stacked table SM (5, nl, nl) holding the stiffness blocks S_00,
@@ -100,8 +101,7 @@ def reference_kernels(p):
     n_local(q) columns of V, H, C and E serve degree q.
     """
     pts, w = triangle_rule(2 * p)
-    sh = tri_shapes(p, pts, nderiv=2)
-    V, G, H = sh["val"], sh["grad"], sh["hess"]
+    V, G, H = tri_shapes(p, pts, nderiv=2).values()
     nl = V.shape[1]
     G = G.reshape(len(w), 2 * nl)  # column 2 i + a: derivative a of mode i
     S = ((G * w[:, None]).T @ G).reshape(nl, 2, nl, 2).transpose(1, 3, 0, 2)

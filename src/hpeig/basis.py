@@ -75,55 +75,70 @@ def bubble_indices(p):
 def legendre_table(x, n, nderiv=1):
     """Legendre polynomials P_0..P_n and derivatives at points x.
 
-    Returns an array of shape (nderiv+1, n+1, len(x)); entry [d, m] is
-    the d-th derivative of P_m.
+    Returns an array of shape (nderiv+1, n+1) + x.shape; entry [d, m] is
+    the d-th derivative of P_m, each point's computed on its own.
     """
     x = np.asarray(x, dtype=float)
-    T = np.zeros((nderiv + 1, n + 1, x.shape[0]))
+    T = np.zeros((nderiv + 1, n + 1) + x.shape)
     T[0, 0] = 1.0
     if n >= 1:
         T[0, 1] = x
         if nderiv >= 1:
             T[1, 1] = 1.0
-    # (m+1) P_{m+1} = (2m+1) x P_m - m P_{m-1}, differentiated d times
+    # (m+1) P_{m+1} = (2m+1) x P_m - m P_{m-1} differentiated d times, all d at once
+    d = np.arange(1, nderiv + 1).reshape((-1,) + (1,) * x.ndim)
+    lower = np.zeros_like(T[:, 0])  # d P_m^(d-1), and +0 for d = 0
     for m in range(1, n):
-        for d in range(nderiv + 1):
-            lower = d * T[d - 1, m] if d >= 1 else 0.0
-            T[d, m + 1] = ((2 * m + 1) * (x * T[d, m] + lower) - m * T[d, m - 1]) / (m + 1)
+        np.multiply(d, T[:-1, m], out=lower[1:])
+        T[:, m + 1] = ((2 * m + 1) * (x * T[:, m] + lower) - m * T[:, m - 1]) / (m + 1)
     return T
+
+
+def _kernel_scale(jmax):
+    k = np.arange(2, jmax + 3)
+    return -4.0 * np.sqrt((2 * k - 1) / 2.0) / ((k - 1) * k)
 
 
 def kernel_table(x, jmax, nderiv=0):
     """Kernels psi_0..psi_jmax and derivatives at points x.
 
-    Returns shape (nderiv+1, jmax+1, len(x)).  psi_j has degree j.
+    Returns shape (nderiv+1, jmax+1) + x.shape.  psi_j has degree j.
     """
-    k = np.arange(2, jmax + 3)
-    scale = -4.0 * np.sqrt((2 * k - 1) / 2.0) / ((k - 1) * k)
-    return scale[:, None] * legendre_table(x, jmax + 1, nderiv + 1)[1:, 1:]
+    T = legendre_table(x, jmax + 1, nderiv + 1)[1:, 1:]
+    return _kernel_scale(jmax).reshape((-1,) + (1,) * (T.ndim - 2)) * T
+
+
+def _arguments(lam, one=1.0):
+    """The eight factor arguments: lam_0..lam_2, the edge coordinates
+    lam_b - lam_a, lam_1 - lam_0, 2 lam_2 - one (gradients: one = 0)."""
+    return np.concatenate([lam, [lam[b] - lam[a] for a, b in EDGE_VERTICES],
+                           [lam[1] - lam[0], 2.0 * lam[2] - one]])
+
+
+# factor derivative orders of the gradient (s) and Hessian (s, t) terms, in adding order
+_FIRST = [tuple(int(i == s) for i in range(5)) for s in range(5)]
+_SECOND = [tuple(map(sum, zip(u, v))) for u in _FIRST for v in _FIRST]
 
 
 @functools.lru_cache(maxsize=None)
 def _factor_rows(p):
-    """Rows of the 1-D factor table that make up each mode, (nloc, 5).
-
-    The table holds P_0 and P_1 of lam_0..lam_2 (so row 0 is the
-    constant one and row 2i+1 is lam_i), the kernels of the three
-    edges, then P_i(lam_1 - lam_0) and P_j(2 lam_2 - 1).
-    """
-    nk, nb = max(p - 1, 1), max(p - 2, 1)
-    leg_u = 6 + 3 * nk
-    rows = []
+    """Per-degree constants of tri_shapes: factor s of mode i taken d times
+    is entry [d + shift, m, arg] of the stacked Legendre table, (shift, m,
+    arg) = rows[:, s, i] (shift 1: edge kernels, held as scaled P'_(k-1));
+    c[s, :, i] is its argument's gradient, cc[5s + t, ab] = c[s, a] c[t, b]."""
+    one, rows = (0, 0, 0), []
     for mode in layout(p):
         if mode[0] == "v":
-            rows.append((2 * mode[1] + 1, 0, 0, 0, 0))
+            rows.append([(0, 1, mode[1]), one, one, one, one])
         elif mode[0] == "e":
-            _, l, k = mode
-            a, b = EDGE_VERTICES[l]
-            rows.append((2 * a + 1, 2 * b + 1, 6 + l * nk + k - 2, 0, 0))
+            a, b = EDGE_VERTICES[mode[1]]
+            rows.append([(0, 1, a), (0, 1, b), (1, mode[2] - 1, 3 + mode[1]), one, one])
         else:
-            rows.append((1, 3, 5, leg_u + mode[1], leg_u + nb + mode[2]))
-    return np.array(rows, dtype=np.int64)
+            rows.append([(0, 1, 0), (0, 1, 1), (0, 1, 2),
+                         (0, mode[1], 6), (0, mode[2], 7)])
+    rows = np.array(rows).transpose(2, 1, 0)
+    c = np.ascontiguousarray(_arguments(GRAD_LAMBDA, 0.0)[rows[2]].transpose(0, 2, 1))
+    return rows, c, (c[:, None, [0, 0, 1]] * c[None, :, [0, 1, 1]]).reshape(25, 3, -1)
 
 
 def tri_shapes(p, pts, nderiv=1):
@@ -132,6 +147,9 @@ def tri_shapes(p, pts, nderiv=1):
     Every mode is a product of five 1-D factors, each a function of an
     affine form with constant gradient (unused slots are ones), so
     values, gradients and Hessians all follow from one product rule.
+    One Legendre recurrence runs on the eight arguments stacked, the
+    products share their prefixes, and sums over slots run in a fixed
+    order, so the tables of a point do not depend on the other points.
 
     Parameters
     ----------
@@ -146,36 +164,31 @@ def tri_shapes(p, pts, nderiv=1):
     -------
     dict with "val" (n, nloc), and depending on nderiv "grad"
     (n, nloc, 2) and "hess" (n, nloc, 3) with order (xx, xy, yy).
+    ValueError if p < 1 or pts is not of shape (n, 2).
     """
     pts = np.asarray(pts, dtype=float)
+    if p < 1 or pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"need p >= 1, points (n, 2); got p = {p}, points {pts.shape}")
     lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
-    # families of 1-D factors in _factor_rows order: (table, argument,
-    # its constant gradient, top index)
-    fam = [(legendre_table, lam[i], GRAD_LAMBDA[i], 1) for i in range(3)]
-    fam += [(kernel_table, lam[b] - lam[a], GRAD_LAMBDA[b] - GRAD_LAMBDA[a],
-             max(p - 2, 0)) for a, b in EDGE_VERTICES]
-    fam += [(legendre_table, x, g, max(p - 3, 0)) for x, g in (
-        (lam[1] - lam[0], GRAD_LAMBDA[1] - GRAD_LAMBDA[0]),
-        (2.0 * lam[2] - 1.0, 2.0 * GRAD_LAMBDA[2]))]
-    rows = _factor_rows(p)
-    f = np.concatenate([table(x, n, nderiv) for table, x, _, n in fam],
-                       axis=1)[:, rows]            # (nderiv+1, nloc, 5, npts)
-    c = np.concatenate([np.tile(g, (n + 1, 1)) for _, _, g, n in fam])[rows]
-
-    def product(orders):
-        # the mode product with factor s differentiated orders[s] times
-        out = f[orders[0], :, 0]
-        for s in range(1, 5):
-            out = out * f[orders[s], :, s]
-        return out
-
-    unit = np.eye(5, dtype=np.int64)
-    out = {"val": product(0 * unit[0]).T}
-    if nderiv >= 1:
-        d1 = np.array([product(u) for u in unit])
-        out["grad"] = np.einsum("slq,lsa->qla", d1, c)
-    if nderiv >= 2:
-        d2 = np.array([[product(u + v) for v in unit] for u in unit])
-        hess = np.einsum("stlq,lsa,ltb->qlab", d2, c, c)
-        out["hess"] = hess[:, :, [0, 0, 1], [0, 1, 1]]
+    T = legendre_table(_arguments(lam), max(p - 1, 1), nderiv + 1)
+    T[1:, 1:, 3:6] *= _kernel_scale(max(p - 2, 0))[:, None, None]
+    (shift, m, arg), c, cc = _factor_rows(p)
+    # the products, left to right, of the factors at each tuple of orders
+    # with sum <= nderiv; a product's order-0 child takes its memory
+    prod = {(): 1.0}
+    for s in range(5):
+        f = T[shift[s] + np.arange(nderiv + 1)[:, None], m[s], arg[s]]
+        grown = {}
+        for o, v in prod.items():
+            for d in range(nderiv - sum(o), 0, -1):
+                grown[o + (d,)] = v * f[d]
+            v *= f[0]
+            grown[o + (0,)] = v
+        prod = grown
+    out = {"val": prod[0, 0, 0, 0, 0].T}
+    for key, orders, weights in (("grad", _FIRST, c), ("hess", _SECOND, cc))[:nderiv]:
+        acc = np.zeros(weights.shape[1:] + (len(pts),))
+        for o, w in zip(orders, weights):
+            acc += prod[o] * w[:, :, None]
+        out[key] = acc.transpose(2, 1, 0)  # F order: the estimator's sums depend on it
     return out

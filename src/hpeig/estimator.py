@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import pulled_back_diffusion, reference_kernels
-# tri_shapes is no longer called here, but perfbench/spans.py still wraps
-# it in this namespace
+# perfbench/spans.py wraps tri_shapes in this namespace
 from .basis import GRAD_LAMBDA, tri_shapes  # noqa: F401
 
 # computed eigenvalues at or below this size are zero modes of pure

@@ -17,10 +17,8 @@ interior blocks; matrices and coefficient vectors all live on it.
 import numpy as np
 
 from .assembly import reference_kernels
-from .basis import bubble_indices, edge_mode_indices, n_local
-# tri_shapes is no longer called here, but perfbench/spans.py still wraps
-# it in this namespace
-from .basis import tri_shapes  # noqa: F401
+# perfbench/spans.py wraps tri_shapes in this namespace
+from .basis import bubble_indices, edge_mode_indices, n_local, tri_shapes  # noqa: F401
 from .mesh import CHILD_POSITIONS
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import numpy.polynomial.legendre as npleg
+import pytest
 
 from hpeig.assembly import reference_kernels
 from hpeig.basis import (
@@ -173,6 +174,41 @@ def test_kernel_matches_integrated_legendre():
         Lk = np.sqrt((2 * k - 1) / 2.0) * antider(s)
         got = 0.25 * (1 - s * s) * K[k - 2]
         assert np.allclose(got, Lk, atol=1e-12)
+
+
+def test_stacked_recurrence_equals_row_calls():
+    # the recurrences are elementwise, so stacking arguments changes no bit
+    rows = np.vstack([np.linspace(-1, 1, 23), interior_points(23, seed=3).T,
+                      [np.float64(-0.0)] * 23])
+    for table, n, nderiv in ((legendre_table, 9, 3), (legendre_table, 0, 1),
+                             (kernel_table, 8, 2), (kernel_table, 0, 0)):
+        stacked = table(rows, n, nderiv)
+        assert stacked.shape[2] == len(rows)
+        for i, x in enumerate(rows):
+            assert stacked[:, :, i].tobytes() == table(x, n, nderiv).tobytes()
+
+
+def test_tri_shapes_does_not_mix_points():
+    t = np.linspace(0.0, 1.0, 5)
+    pts = np.vstack([interior_points(31, seed=7), np.column_stack([t, 1 - t]),
+                     np.column_stack([t, 0 * t])])
+    for p in range(1, 13):
+        for nderiv in range(3):
+            whole = tri_shapes(p, pts, nderiv)
+            halves = [tri_shapes(p, part, nderiv) for part in (pts[:20], pts[20:])]
+            for key, table in whole.items():
+                joined = np.concatenate([h[key] for h in halves])
+                assert np.abs(joined - table).max() <= 1e-15 * np.abs(table).max()
+
+
+@pytest.mark.parametrize("p, pts", [(0, np.full((4, 2), 0.25)),
+                                    (-1, np.full((4, 2), 0.25)),
+                                    (2, np.full(4, 0.25)),
+                                    (2, np.full((4, 3), 0.25))],
+                         ids=["p0", "p-1", "1d_points", "3_columns"])
+def test_tri_shapes_rejects_bad_input(p, pts):
+    with pytest.raises(ValueError, match="points"):
+        tri_shapes(p, pts)
 
 
 def test_layout_counts_and_prefix():

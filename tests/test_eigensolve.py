@@ -46,7 +46,8 @@ def test_arpack_matches_dense():
 
 
 def test_dense_path_only_below_arpack_limit():
-    # ARPACK needs more than m + 1 unknowns; smaller pencils go dense
+    # pencils of at most m + 1 unknowns go to the dense solver, the rest to
+    # the Lanczos iteration
     for n, m in ((1, 1), (4, 3), (5, 4)):
         B, M = random_pencil(n, seed=3)
         got = solve_lowest(B, M, m)
