@@ -134,27 +134,27 @@ def pulled_back_diffusion(Jinv, A):
     return Jinv @ A @ Jinv.transpose(0, 2, 1)
 
 
-def _signed(loc, s):
-    """(loc + loc^T) / 2 with the signs s (K, nl) on rows and columns."""
+def _symmetrized(loc):
+    """(loc + loc^T) / 2 per element matrix."""
     loc = loc + loc.transpose(0, 2, 1)
     loc *= 0.5
-    loc *= s[:, :, None]
-    loc *= s[:, None, :]
     return loc
 
 
-def _scatter(n, l2g, blocks):
+def _scatter(n, maps, blocks):
     """CSR sum of element matrices on n dofs.
 
-    l2g lists (K, nl) dof tables, -1 on absent modes, and blocks yields
-    the matching signed (K, nl, nl) matrices one table at a time.  The
-    int32 COO triple is allocated once and filled in table order.
+    maps lists (l2g, signs) pairs of (K, nl) tables, as in DofHandler.groups,
+    and blocks the matching unsigned (K, nl, nl) matrices, signed in place.
+    The int32 COO triple is allocated once and filled in table order.
     """
     ends = np.cumsum([0] + [np.sum(np.count_nonzero(g >= 0, axis=1) ** 2)
-                            for g in l2g])
+                            for g, _ in maps])
     rows, cols = np.empty((2, ends[-1]), dtype=np.int32)
     vals = np.empty(ends[-1])
-    for g, loc, a, b in zip(l2g, blocks, ends, ends[1:]):
+    for (g, s), loc, a, b in zip(maps, blocks, ends, ends[1:]):
+        loc *= s[:, :, None]
+        loc *= s[:, None, :]
         ok = (g[:, :, None] >= 0) & (g[:, None, :] >= 0)
         rows[a:b] = np.broadcast_to(g[:, :, None], loc.shape)[ok]
         cols[a:b] = np.broadcast_to(g[:, None, :], loc.shape)[ok]
@@ -163,20 +163,21 @@ def _scatter(n, l2g, blocks):
 
 
 def element_stiffness(handler, coeffs, p):
-    """Signed element matrices of B(u, v) on the degree-p group."""
+    """Element matrices of B(u, v) on the degree-p group, symmetrized and in
+    reference orientation: DofHandler.gather or _scatter applies the signs."""
     mesh = handler.mesh
-    ids, _, s = handler.groups[p]
+    ids = handler.groups[p][0]
     A_el, c_el = coeffs.on_elements(mesh)
     SM = reference_kernels(p)["SM"]
     detJ = mesh.detJ[ids]
     C = detJ[:, None, None] * pulled_back_diffusion(mesh.Jinv[ids], A_el[ids])
     rows = np.column_stack([C.reshape(-1, 4), c_el[ids] * detJ])
-    return _signed((rows @ SM.reshape(5, -1)).reshape(-1, *SM.shape[1:]), s)
+    return _symmetrized((rows @ SM.reshape(5, -1)).reshape(-1, *SM.shape[1:]))
 
 
 def assemble_stiffness(handler, coeffs):
     """Matrix of B(u, v) on the handler's dofs, CSR."""
-    return _scatter(handler.n_dofs, [g for _, g, _ in handler.groups.values()],
+    return _scatter(handler.n_dofs, [(g, s) for _, g, s in handler.groups.values()],
                     (element_stiffness(handler, coeffs, p)
                      for p in handler.groups))
 
@@ -184,9 +185,9 @@ def assemble_stiffness(handler, coeffs):
 def assemble_mass(handler):
     """Matrix of the L2 inner product on the handler's dofs, CSR."""
     detJ = handler.mesh.detJ[:, None, None]
-    return _scatter(handler.n_dofs, [g for _, g, _ in handler.groups.values()],
-                    (_signed(detJ[ids] * reference_kernels(p)["M"], s)
-                     for p, (ids, _, s) in handler.groups.items()))
+    return _scatter(handler.n_dofs, [(g, s) for _, g, s in handler.groups.values()],
+                    (_symmetrized(detJ[ids] * reference_kernels(p)["M"])
+                     for p, (ids, _, _) in handler.groups.items()))
 
 
 def mass_operator(handler):

@@ -93,25 +93,25 @@ def condensed_solve(handler, co, loads):
     """
     n_i = int(handler.edge_offset[-1])
     rhs = loads[:n_i].copy()
-    l2g, blocks, parts = [], [], []
-    for p, (_, g, _) in handler.groups.items():
+    maps, blocks, parts = [], [], []
+    for p, (_, g, s) in handler.groups.items():
         K = element_stiffness(handler, co, p)
-        b = bubble_indices(p)
+        b = bubble_indices(p)  # bubbles have sign 1
         i = np.setdiff1d(np.arange(K.shape[1]), b)
         K_ib = K[:, i[:, None], b]
         X = np.linalg.solve(K[:, b[:, None], b], np.concatenate(
             [K_ib.transpose(0, 2, 1), loads[g[:, b]]], axis=2))
         ok = g[:, i] >= 0
-        np.subtract.at(rhs, g[:, i][ok], (K_ib @ X[:, :, i.size:])[ok])
-        l2g.append(g[:, i])
+        np.subtract.at(rhs, g[:, i][ok],
+                       (s[:, i, None] * (K_ib @ X[:, :, i.size:]))[ok])
+        maps.append((g[:, i], s[:, i]))
         blocks.append(K[:, i[:, None], i] - K_ib @ X[:, :, :i.size])
-        parts.append((g, i, b, X))
+        parts.append((p, g[:, b], i, X))
     del K, K_ib  # else alive through the factorisation, the memory peak
     w = np.zeros_like(loads)
-    w[:n_i] = splu(_scatter(n_i, l2g, blocks).T, **SPD_LU).solve(rhs)
-    for g, i, b, X in parts:
-        w[g[:, b]] = (X[:, :, i.size:]
-                      - X[:, :, :i.size] @ w[np.maximum(g[:, i], 0)])
+    w[:n_i] = splu(_scatter(n_i, maps, blocks).T, **SPD_LU).solve(rhs)
+    for p, g_b, i, X in parts:
+        w[g_b] = X[:, :, i.size:] - X[:, :, :i.size] @ handler.gather(w, p)[:, i]
     return w
 
 
@@ -119,8 +119,8 @@ def element_energies(handler, co, vectors):
     """vectors^T B vectors summed over the elements, B never assembled."""
     m = vectors.shape[1]
     gram = np.zeros((m, m))
-    for p, (_, g, _) in handler.groups.items():
-        local = vectors[np.maximum(g, 0)]
+    for p in handler.groups:
+        local = handler.gather(vectors, p)
         energy = element_stiffness(handler, co, p) @ local
         gram += local.reshape(-1, m).T @ energy.reshape(-1, m)
     return 0.5 * (gram + gram.T)

@@ -3,9 +3,8 @@
 B - shift M is factored once with SuperLU, and the wanted pairs are the
 largest eigenvalues mu = 1 / (lambda - shift) of OP = (B - shift M)^-1 M,
 self-adjoint in the M inner product.  A negative shift keeps the factor
-definite when B is only semidefinite (pure Neumann problems).  At most
-m + 1 unknowns go to a dense solver.  M is only applied: at shift 0 it
-may be a LinearOperator (mass_operator).
+definite when B is only semidefinite (pure Neumann problems).  M is only
+applied: at shift 0 it may be a LinearOperator (mass_operator).
 
 Every matrix hpeig factors is symmetric (here B - shift M and B - tau M;
 in defects the coarse stiffness and the surrogate's condensed interface
@@ -33,13 +32,13 @@ OP's residual (the pencil's is checked against tol); vectors are
 purified.  M V is kept beside V, so both Gram-Schmidt passes take dot
 products with its rows: one M product a solve, against about three in
 ARPACK's generalized mode (1,275 for 430 solves in a slit_adaptive
-round).  A breakdown goes on from a random vector, uncoupled.
+round).  A breakdown goes on from a random vector, uncoupled; one that
+orthogonalizes to exactly zero (n = 1) stays zero.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -55,7 +54,7 @@ class EigenCluster:
     """Lowest eigenpairs, ascending; vectors are M-orthonormal columns.
 
     iterations counts the solves with the factored operator and fill
-    the entries stored in its L and U factors (both 0 if dense).
+    the entries stored in its L and U factors.
     """
     values: np.ndarray
     vectors: np.ndarray
@@ -123,11 +122,6 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
     if m > n:
         raise ValueError(f"asked for {m} pairs in dimension {n}")
 
-    if n <= m + 1:
-        cluster = EigenCluster(*scipy.linalg.eigh(
-            B.toarray(), M @ np.eye(n), subset_by_index=[0, m - 1]), None, 0, 0)
-        return check_residuals(B, M, cluster, tol)
-
     rng = np.random.default_rng(seed)
     v0 = (rng.standard_normal(n) if x0 is None
           else np.asarray(x0, dtype=float).reshape(n, -1).sum(axis=1))
@@ -158,7 +152,7 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
                 for _ in range(2):
                     w -= (MV[:j] @ w) @ V[:j]
                 Mw = M @ w
-            norm = beta or np.sqrt(w @ Mw)
+            norm = beta or np.sqrt(w @ Mw) or 1.0
             V[j], MV[j] = w / norm, Mw / norm
             return coef, beta
 

@@ -388,8 +388,7 @@ def reference_defect_report(handler, co, values, vectors):
 
 def reference_solve_lowest(B, M, m):
     """The lowest m pairs of the dense pencil (B, M) as (values, vectors,
-    residuals), the residuals computed as check_residuals does.
-    solve_lowest's dense branch (n <= m + 1) returns these bit for bit."""
+    residuals), the residuals computed as check_residuals does."""
     theta, X = scipy.linalg.eigh(B.toarray(), M.toarray(),
                                  subset_by_index=[0, m - 1])
     BX, MX = B @ X, M @ X

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hpeig.assembly as assembly
 from hpeig.assembly import (
     Coefficients,
     assemble_load,
@@ -22,7 +23,7 @@ from hpeig.quadrature import triangle_rule
 from hpeig.space import DofHandler
 
 from helpers import (evaluate, reference_element_builders, reference_load,
-                     reference_scatter, reference_stiffness_mass)
+                     reference_scatter, reference_stiffness_mass, side_tags)
 
 
 def quadrant_regions(cents):
@@ -287,6 +288,50 @@ def test_stiffness_and_mass_share_one_pattern():
     assert np.count_nonzero(B.data == 0) > 0
     assert B.nnz == assemble_mass(h1).nnz
     assert reference_stiffness_mass(h1, Coefficients())[0].nnz < B.nnz
+
+
+def test_signs_live_in_the_dof_maps_only(monkeypatch):
+    # reversing the ids of the Dirichlet vertices keeps every element's
+    # vertex order and the dof numbering, but turns around the global
+    # edges from those vertices to free ones (edges run from the lower to
+    # the higher id): element matrices stay bitwise the same, and the
+    # assembled ones become D B D, D the flips of those edges' odd modes
+    mesh = refine(square_grid(3), [0, 5, 11])
+    degrees = np.random.default_rng(6).integers(1, 6, mesh.n_elements)
+    h = DofHandler(mesh, degrees, ("boundary",))
+    perm = np.arange(mesh.n_vertices)
+    fixed = h.vertex_dof < 0
+    perm[fixed] = perm[fixed][::-1]
+    other = DofHandler(Mesh(mesh.vertices[np.argsort(perm)],
+                            perm[mesh.elements], side_tags(mesh)),
+                       degrees, ("boundary",))
+    assert np.array_equal(other.vertex_dof[perm], h.vertex_dof)
+    flipped = (perm[mesh.edges[:, 0]] > perm[mesh.edges[:, 1]]) \
+        & (h.edge_kinds != 1)
+    d = np.ones(h.n_dofs)
+    for e in np.nonzero(flipped)[0]:  # mode k at edge_offset + k - 2
+        d[h.edge_offset[e] + np.arange(1, h.p_conf[e] - 1, 2)] = -1.0
+    assert np.count_nonzero(d < 0) >= 5
+
+    blocks, scatter = [], assembly._scatter
+
+    def recording(n, maps, parts):
+        parts = list(parts)
+        blocks.append([part.copy() for part in parts])
+        return scatter(n, maps, parts)
+
+    monkeypatch.setattr(assembly, "_scatter", recording)
+    co = Coefficients(c=2.0)
+    got = [[assemble_stiffness(k, co), assemble_mass(k)] for k in (h, other)]
+    # element_stiffness's and the mass blocks of h, then those of other
+    for a, b in zip(blocks[:2], blocks[2:]):
+        assert [x.tobytes() for x in a] == [y.tobytes() for y in b]
+    # entry for entry, where an exact zero may come out as -0.0
+    rows = np.repeat(np.arange(h.n_dofs), np.diff(got[0][0].indptr))
+    for A, flipped_A in zip(*got):
+        assert np.array_equal(flipped_A.indptr, A.indptr)
+        assert np.array_equal(flipped_A.indices, A.indices)
+        assert np.array_equal(flipped_A.data, d[rows] * A.data * d[A.indices])
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (4,)])
