@@ -78,16 +78,17 @@ def reference_kernels(p):
     Every basis and quadrature evaluation in hpeig happens here, in three
     tri_shapes calls: quadrature, child-image and edge points.
     Returns dict with quadrature (pts, w) exact to degree 2p, value
-    table V (nq, nl), hessian table H (nq, nl, 3), mass M (nl, nl), the
-    stacked table SM (5, nl, nl) holding the stiffness blocks S_00,
-    S_01, S_10, S_11 and then M, the modal table R (nl, nl), the child
-    tables C (6, nl, nl): C[i] = P V(images of pts in
-    mesh.CHILD_POSITIONS[i]), with P = M^-1 V^T W the L2 projector, maps
-    a degree-p function on a parent to its coefficients on that child,
-    and the edge tables E (3, 2, 2 nqe, nl) with their weights Ew
-    (nqe,): E[l, o] holds the x then y derivatives at the points of
-    interval_rule(2p + 2) on local edge l, running from the edge's
-    first local vertex to its second (o = 0) or back (o = 1).
+    table V (nq, nl), residual table VH (4 nq, nl): V, then the Hessian
+    xx, xy, yy rows, in Fortran order, mass M (nl, nl), the stacked
+    table SM (5, nl, nl) holding the stiffness blocks S_00, S_01, S_10,
+    S_11 and then M, the modal table R (nl, nl), the child tables C (6,
+    nl, nl): C[i] = P V(images of pts in mesh.CHILD_POSITIONS[i]), with
+    P = M^-1 V^T W the L2 projector, maps a degree-p function on a parent
+    to its coefficients on that child, and the edge table E (3, 2 nqe,
+    nl) with weights Ew (nqe,): E[l] holds the x then y derivatives at
+    the points of interval_rule(2p + 2) on local edge l, from its first
+    local vertex to its second.  As s + s[::-1] == 1 and w == w[::-1]
+    exactly, a side running back reads them in reverse order.
 
     R maps local coefficients to coefficients in an L2-orthonormal
     basis graded by degree (R^T R = M): block q, the entries
@@ -95,10 +96,10 @@ def reference_kernels(p):
     triangular factor of W^(1/2) V T times T^-1, where T swaps lam_0
     for the constant lam_0 + lam_1 + lam_2, so that the leading
     n_local(q) columns of V T span P_q.  Assembly reads SM and M;
-    the estimator's interior residual reads V and H, and its edge
-    jumps read E and Ew of the largest degree; transfer reads C; the
-    hp decision reads R.  The basis is hierarchical, so the leading
-    n_local(q) columns of V, H, C and E serve degree q.
+    the estimator's interior residual reads VH, and its edge jumps
+    read E and Ew of the largest degree; transfer reads C; the hp
+    decision reads R.  The basis is hierarchical, so the leading
+    n_local(q) columns of V, VH, C and E serve degree q.
     """
     pts, w = triangle_rule(2 * p)
     V, G, H = tri_shapes(p, pts, nderiv=2).values()
@@ -121,11 +122,12 @@ def reference_kernels(p):
     R = np.linalg.qr(V @ T * sw[:, None], mode="r")
     R[:, 0] -= R[:, 1:3].sum(axis=1)  # times T^-1
     s, Ew = interval_rule(2 * p + 2)
-    ends = np.eye(3)[:, 1:][[(e, e[::-1]) for e in EDGE_VERTICES]]
-    on_edges = ends[..., :1, :] * (1.0 - s)[:, None] + ends[..., 1:, :] * s[:, None]
+    ends = np.eye(3)[:, 1:][list(EDGE_VERTICES)]
+    on_edges = ends[:, :1] * (1.0 - s)[:, None] + ends[:, 1:] * s[:, None]
     grad = tri_shapes(p, on_edges.reshape(-1, 2), nderiv=1)["grad"]
-    E = np.moveaxis(grad.reshape(3, 2, s.size, nl, 2), 4, 2).reshape(3, 2, -1, nl)
-    return {"pts": pts, "w": w, "V": V, "H": H, "SM": SM, "M": M, "R": R,
+    E = np.moveaxis(grad.reshape(3, s.size, nl, 2), 3, 1).reshape(3, -1, nl)
+    VH = np.asfortranarray(np.concatenate([V, *np.moveaxis(H, 2, 0)]))
+    return {"pts": pts, "w": w, "V": V, "VH": VH, "SM": SM, "M": M, "R": R,
             "C": C, "E": E, "Ew": Ew}
 
 

@@ -190,5 +190,5 @@ def tri_shapes(p, pts, nderiv=1):
         acc = np.zeros(weights.shape[1:] + (len(pts),))
         for o, w in zip(orders, weights):
             acc += prod[o] * w[:, :, None]
-        out[key] = acc.transpose(2, 1, 0)  # F order: the estimator's sums depend on it
+        out[key] = acc.transpose(2, 1, 0)  # F order: reference_kernels' sums depend on it
     return out

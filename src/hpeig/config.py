@@ -3,8 +3,8 @@
 A run file has a [problem] section naming the benchmark and optional
 [adapt] and [solver] sections overriding the defaults in AdaptConfig.
 Unknown sections or keys are rejected so typos fail loudly.  The initial
-mesh and space are built once, so a mesh the problem's builder rejects
-or has no memory for, or a space with fewer than m dofs, fails here too.
+mesh and space are built once: a grid past 32-bit ids, a mesh the problem's
+builder rejects or has no memory for, or a space under m dofs fail here.
 """
 
 import configparser
@@ -81,8 +81,9 @@ def parse_config(path):
         raise ConfigError(f"problem {spec.key!r} has a fixed mesh; "
                           "remove initial_cells")
     cells = prob.get("initial_cells", spec.default_cells)
-    if "initial_cells" in prob and cells < 1:
-        raise ConfigError(f"initial_cells must be >= 1, got {cells}")
+    if "initial_cells" in prob and (cells < 1 or 2 * cells**2 >= 2**31):
+        raise ConfigError(f"initial_cells must be >= 1 and its grid's 2 n^2 "
+                          f"elements within 32-bit dof ids, got {cells}")
 
     adapt = _section(parser, "adapt", _ADAPT_KEYS)
     solver = _section(parser, "solver", _SOLVER_KEYS)

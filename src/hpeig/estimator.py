@@ -13,10 +13,10 @@ jump of the conormal flux A grad(field) . n (single-sided on Neumann
 edges, zero on Dirichlet edges).  p_e is the larger adjacent degree.
 
 Quadrature points are fixed on the reference element and its edges, so
-both terms are reference tables times local coefficients: one product
-per degree group, or per (degree, local edge, orientation) for edges.
-The orientation, mesh.elem_reversed, also picks each side's flux buffer:
-the two sides of an interior edge run along it in opposite directions.
+each term is one product of a reference table with a degree group's
+coefficients, gathered once for both.  The edge rule is mirror-symmetric,
+so a side that runs against its edge (mesh.elem_reversed) reads the
+one-orientation edge table at its points in reverse order.
 The outward normal of reference edge l times its length is -GRAD_LAMBDA[l]:
 lambda_l vanishes on edge l and grows inward at rate 1/height = length.
 
@@ -56,65 +56,59 @@ class IndicatorField:
     total: float
 
 
-def element_residual_norms(handler, coeffs, values, co):
+def element_residual_norms(handler, local, W, values, c_el):
     """Squared L2 norms of the strong interior residual, shape (ne, m).
 
-    coeffs has shape (n_dofs, m); values has shape (m,).  A is
-    constant on each element so the divergence term is the double
-    contraction of A with the Hessian.
+    local[p] holds the degree-p group's gathered coefficients (n_local(p),
+    K, m), W (ne, 2, 2) A pulled back to the reference element, c_el (ne,)
+    c.  A is constant per element: the divergence term is A : Hess.
     """
     mesh = handler.mesh
-    values = np.asarray(values, dtype=float)
-    m = coeffs.shape[1]
-    A_el, c_el = co.on_elements(mesh)
-    out = np.zeros((mesh.n_elements, m))
+    out = np.zeros((mesh.n_elements, values.size))
     for p, (ids, _, _) in handler.groups.items():
-        ker = reference_kernels(p)
+        ker, U, Wk = reference_kernels(p), local[p], W[ids]
         # rows: values, then the Hessian components (xx, xy, yy)
-        table = np.concatenate([ker["V"], *np.moveaxis(ker["H"], 2, 0)])
-        U = np.moveaxis(handler.gather(coeffs, p), 1, 0)
-        Q = (table @ U.reshape(len(U), -1)).reshape(4, -1, ids.size, m)
-        W = pulled_back_diffusion(mesh.Jinv[ids], A_el[ids])
-        R = (values - c_el[ids, None]) * Q[0] + W[:, 0, 0, None] * Q[1] \
-            + 2.0 * W[:, 0, 1, None] * Q[2] + W[:, 1, 1, None] * Q[3]
-        out[ids] = mesh.detJ[ids, None] * np.tensordot(ker["w"], R**2, 1)
+        Q = (ker["VH"] @ U.reshape(len(U), -1)).reshape(4, -1, *U.shape[1:])
+        R = (values - c_el[ids, None]) * Q[0] + Wk[:, 0, 0, None] * Q[1] \
+            + 2.0 * Wk[:, 0, 1, None] * Q[2] + Wk[:, 1, 1, None] * Q[3]
+        out[ids] = mesh.detJ[ids, None] * (ker["w"] @ (R**2).reshape(len(R), -1)
+                                           ).reshape(R.shape[1:])
     return out
 
 
-def edge_jump_norms(handler, coeffs, co):
+def edge_jump_norms(handler, local, W):
     """Squared L2 norms of conormal flux jumps, shape (n_edges, m).
 
-    coeffs has shape (n_dofs, m).  Interior edges carry the two-sided
-    jump, Neumann edges the single-sided flux, Dirichlet edges zero.
-    Both sides are evaluated at the same edge points, running from the
-    lower to the higher global vertex: those of the edge tables E and
-    weights Ew of reference_kernels at the largest degree, whose
-    leading n_local(p) columns serve degree p.
+    local and W are as in element_residual_norms.  Interior edges carry
+    the two-sided jump, Neumann edges the single-sided flux, Dirichlet
+    edges zero, at the points of reference_kernels' E and Ew of the largest
+    degree (E's leading n_local(p) columns serve degree p), lower vertex first.
     """
-    mesh = handler.mesh
-    m = coeffs.shape[1]
-    A_el, _ = co.on_elements(mesh)
+    mesh, ne = handler.mesh, handler.mesh.n_elements
     ker = reference_kernels(int(handler.degrees.max()))
-    tables, wq = ker["E"], ker["Ew"]
-
+    E, wq = ker["E"], ker["Ew"]
     # pulled-back conormal of each local edge: Jinv A n = detJ W n_ref / |e|
-    W = pulled_back_diffusion(mesh.Jinv, A_el)
     scale = mesh.detJ[:, None] / mesh.edge_length[mesh.elem_edges]
-    qvec = (W @ -GRAD_LAMBDA.T).transpose(0, 2, 1) * scale[..., None]
-    on = handler.edge_kinds[mesh.elem_edges] != 1  # Dirichlet sides are skipped
+    qvec = ((W @ -GRAD_LAMBDA.T) * scale[:, None, :]).T  # (3, 2, ne)
 
-    flux = np.zeros((2, mesh.n_edges, wq.size, m))
+    # flux[l, column[k], i]: side l of element k at its point i, one group
+    # after another; absent and Dirichlet sides read column[-1], zero
+    flux = np.zeros((3, ne + 1, wq.size, next(iter(local.values())).shape[-1]))
+    column, start = np.full(ne + 1, ne), 0
     for p, (ids, _, _) in handler.groups.items():
-        U = np.moveaxis(handler.gather(coeffs, p), 1, 0)
-        for l, o in np.ndindex(3, 2):
-            sel = np.nonzero(on[ids, l] & (mesh.elem_reversed[ids, l] == o))[0]
-            k = ids[sel]
-            V = U[:, sel].reshape(len(U), -1)
-            G = (tables[l, o, :, :len(V)] @ V).reshape(2, wq.size, sel.size, m)
-            q = qvec[k, l]
-            flux[o, mesh.elem_edges[k, l]] = np.moveaxis(
-                q[:, 0, None] * G[0] + q[:, 1, None] * G[1], 1, 0)
-    jump = flux[0] + flux[1]
+        U, end = local[p], start + ids.size
+        G = (E[:, :, :len(U)].reshape(-1, len(U)) @ U.reshape(len(U), -1)
+             ).reshape(3, 2, wq.size, *U.shape[1:])
+        q = qvec[:, :, None, ids, None]
+        flux[:, start:end] = np.swapaxes(q[:, 0] * G[:, 0] + q[:, 1] * G[:, 1], 1, 2)
+        column[ids], start = np.arange(start, end), end
+
+    # the second side runs against the edge (interior sides differ): read backwards
+    k, l = mesh.edge_elems, np.maximum(mesh.edge_local, 0)
+    side = l * (ne + 1) + column[np.where(handler.edge_kinds[:, None] == 1, -1, k)]
+    side = np.where(mesh.elem_reversed[k[:, :1], l[:, :1]], side[:, ::-1], side)
+    flux = flux.reshape(-1, *flux.shape[2:])
+    jump = flux[side[:, 0]] + flux[side[:, 1], ::-1]
     return mesh.edge_length[:, None] * np.einsum("q,eqm->em", wq, jump**2)
 
 
@@ -130,11 +124,14 @@ def estimate(handler, coeffs, values, co):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != values.size:
         raise ValueError("coefficient columns must match eigenvalues")
-    res = element_residual_norms(handler, coeffs, values, co)
-    jumps = edge_jump_norms(handler, coeffs, co)
+    local = {p: np.ascontiguousarray(handler.gather(coeffs, p).transpose(1, 0, 2))
+             for p in handler.groups}
+    A_el, c_el = co.on_elements(mesh)
+    W = pulled_back_diffusion(mesh.Jinv, A_el)
+    res = element_residual_norms(handler, local, W, values, c_el)
+    jumps = edge_jump_norms(handler, local, W)
 
-    p_el = handler.degrees.astype(float)
-    scale_el = (mesh.h / p_el) ** 2
+    scale_el = (mesh.h / handler.degrees.astype(float)) ** 2
     edge_w = mesh.edge_length / handler.p_edge_max
     edge_w = np.where(handler.edge_kinds == 0, 0.5 * edge_w,
                       np.where(handler.edge_kinds == 2, edge_w, 0.0))

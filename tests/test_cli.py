@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import hpeig.cli as cli
 from hpeig.eigensolve import SolverError
+from hpeig.problems import problem
 
 
 def write_config(tmp_path, body):
@@ -113,6 +116,21 @@ def test_run_unbuildable_initial_space_exits_2(tmp_path, capsys, body):
                      "--out", str(tmp_path / "x.csv")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+def test_initial_cells_beyond_32bit_ids_exits_2(tmp_path, capsys, monkeypatch,
+                                                command):
+    def never(n):
+        raise AssertionError("the mesh builder ran")
+    spec = dataclasses.replace(problem("square_dirichlet"), build=never)
+    monkeypatch.setattr("hpeig.config.problem", lambda key: spec)
+    argv = [command, "--config", write_config(
+        tmp_path, "[problem]\nname = square_dirichlet\ninitial_cells = 1000000000\n")]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    assert "32-bit dof ids" in capsys.readouterr().err
 
 
 def test_run_missing_config(tmp_path, capsys):

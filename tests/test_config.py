@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from hpeig.adaptivity import AdaptConfig
 from hpeig.config import ConfigError, parse_config
+from hpeig.problems import problem
 
 
 def write(tmp_path, text):
@@ -201,3 +204,23 @@ p_init = {}
         parse_config(write(tmp_path, text.format(2)))
     # degree 3 gives exactly m = 4 dofs, which is enough
     assert parse_config(write(tmp_path, text.format(3))).config.p_init == 3
+
+
+def test_initial_cells_beyond_32bit_ids_rejected_before_building(tmp_path,
+                                                                 monkeypatch):
+    # a grid of 2 n^2 >= 2^31 elements is refused without calling the
+    # builder; the largest n below the bound reaches it
+    class Built(Exception):
+        pass
+
+    def builder(n):
+        raise Built(n)
+
+    spec = dataclasses.replace(problem("square_dirichlet"), build=builder)
+    monkeypatch.setattr("hpeig.config.problem", lambda key: spec)
+    text = "[problem]\nname = square_dirichlet\ninitial_cells = {}\n"
+    for cells in (32768, 10**9):
+        with pytest.raises(ConfigError, match="32-bit"):
+            parse_config(write(tmp_path, text.format(cells)))
+    with pytest.raises(Built):
+        parse_config(write(tmp_path, text.format(32767)))

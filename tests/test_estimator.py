@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hpeig import estimator
 from hpeig.assembly import (Coefficients, assemble_mass, assemble_stiffness,
-                            reference_kernels)
+                            pulled_back_diffusion, reference_kernels)
 from hpeig.basis import EDGE_VERTICES, tri_shapes
 from hpeig.eigensolve import solve_lowest
 from hpeig.mesh import Mesh, refine, square_grid
@@ -26,6 +26,17 @@ def quadrant_region(c):
 
 def halves_region(c):
     return (c[:, 0] >= 0.5).astype(int)
+
+
+def _terms(handler, coeffs, values, co):
+    """The residual and jump norms from their inputs as estimate builds them."""
+    local = {p: np.ascontiguousarray(handler.gather(coeffs, p).transpose(1, 0, 2))
+             for p in handler.groups}
+    A_el, c_el = co.on_elements(handler.mesh)
+    W = pulled_back_diffusion(handler.mesh.Jinv, A_el)
+    values = np.asarray(values, dtype=float)
+    return (estimator.element_residual_norms(handler, local, W, values, c_el),
+            estimator.edge_jump_norms(handler, local, W))
 
 
 def test_kahan_sum_compensates():
@@ -70,8 +81,7 @@ def test_element_residual_matches_fine_quadrature():
         return (mu - cr) * u(x, y) + div
 
     coeffs = interpolate(handler, lambda pts: u(pts[:, 0], pts[:, 1]))
-    got = estimator.element_residual_norms(
-        handler, coeffs[:, None], np.array([mu]), co)
+    got, _ = _terms(handler, coeffs[:, None], [mu], co)
 
     pts, w = triangle_rule(12)
     for k in range(mesh.n_elements):
@@ -102,7 +112,7 @@ def test_hat_function_jumps_by_hand():
     co = Coefficients(c=5.0)
     coeffs = np.zeros(handler.n_dofs)
     coeffs[0] = 1.0
-    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co)
+    _, jumps = _terms(handler, coeffs[:, None], [0.0], co)
 
     diag = _edge_id(mesh, 0, 2)
     assert jumps[diag, 0] == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-13)
@@ -128,7 +138,7 @@ def test_smooth_field_has_no_interior_jumps():
     co = Coefficients(A=[[2.0, 1.0], [1.0, 3.0]], c=0.0)
     coeffs = interpolate(handler, lambda p: p[:, 0]**2 + 3 * p[:, 0] * p[:, 1] + 2 * p[:, 1]**2)
     kinds = mesh.edge_kinds(())
-    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co)
+    _, jumps = _terms(handler, coeffs[:, None], [0.0], co)
     interior = kinds == 0
     assert np.max(jumps[interior, 0]) < 1e-24
 
@@ -164,7 +174,7 @@ def test_material_interface_jump():
     co = Coefficients(A=[np.eye(2), 3.0 * np.eye(2)], c=[0.0, 0.0])
     coeffs = interpolate(handler, lambda p: p[:, 0])
     kinds = mesh.edge_kinds(())
-    jumps = estimator.edge_jump_norms(handler, coeffs[:, None], co)
+    _, jumps = _terms(handler, coeffs[:, None], [0.0], co)
     mids = mesh.vertices[mesh.edges].mean(axis=1)
     on_interface = (np.abs(mesh.vertices[mesh.edges][:, :, 0] - 0.5) < 1e-12).all(axis=1)
     assert on_interface.sum() == 2
@@ -195,8 +205,7 @@ def test_estimate_bookkeeping_and_zero_mode():
 
     # recombine the parts with the stated weights
     kinds = mesh.edge_kinds(handler.dirichlet_tags)
-    res = estimator.element_residual_norms(handler, coeffs, values, co)
-    jumps = estimator.edge_jump_norms(handler, coeffs, co)
+    res, jumps = _terms(handler, coeffs, values, co)
     w = mesh.edge_length / handler.p_edge_max
     w = np.where(kinds == 0, 0.5 * w, np.where(kinds == 2, w, 0.0))
     want = (mesh.h / degrees)[:, None] ** 2 * res + np.einsum(
@@ -282,7 +291,8 @@ def _einsum_residual_norms(handler, coeffs_full, values, co):
         W = np.einsum("kab,kbc,kdc->kad", Jinv, A_el[ids], Jinv)
         wvec = np.stack([W[:, 0, 0], 2.0 * W[:, 0, 1], W[:, 1, 1]], axis=1)
         u = np.einsum("ql,klm->kqm", ker["V"], U)
-        lap = np.einsum("kc,qlc,klm->kqm", wvec, ker["H"], U)
+        H = tri_shapes(p, ker["pts"], nderiv=2)["hess"]
+        lap = np.einsum("kc,qlc,klm->kqm", wvec, H, U)
         R = (values[None, None, :] - c_el[ids, None, None]) * u + lap
         out[ids] = mesh.detJ[ids, None] * np.einsum("q,kqm->km", ker["w"],
                                                     R**2)
@@ -382,12 +392,9 @@ def test_table_products_match_einsum_reference(case):
     coeffs = rng.standard_normal((handler.n_dofs, 3))
     values = np.array([0.5, 20.0, 75.0])
     kinds = mesh.edge_kinds(handler.dirichlet_tags)
-    pairs = [
-        (estimator.element_residual_norms(handler, coeffs, values, co),
-         _einsum_residual_norms(handler, coeffs, values, co)),
-        (estimator.edge_jump_norms(handler, coeffs, co),
-         _einsum_jump_norms(handler, coeffs, co, kinds)),
-    ]
+    res, jumps = _terms(handler, coeffs, values, co)
+    pairs = [(res, _einsum_residual_norms(handler, coeffs, values, co)),
+             (jumps, _einsum_jump_norms(handler, coeffs, co, kinds))]
     for got, want in pairs:
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -434,3 +441,48 @@ def test_estimate_independent_of_element_order(seed, n, dirichlet):
                                rtol=1e-12, atol=0)
     scale = np.max(np.abs(first.local), axis=0)
     assert np.all(np.abs(second.local - first.local[perm]) <= 1e-12 * scale)
+
+
+def test_residual_table_is_the_fortran_concatenation():
+    # the stacked table is stored once, in the layout the per-call
+    # concatenation had, so the residual products round as before
+    for p in range(1, 11):
+        ker = reference_kernels(p)
+        V, _, H = tri_shapes(p, ker["pts"], nderiv=2).values()
+        old = np.concatenate([V, *np.moveaxis(H, 2, 0)])
+        assert ker["VH"].flags.f_contiguous
+        assert ker["VH"].tobytes(order="A") == old.tobytes(order="F")
+
+
+def test_edge_table_read_backwards_is_the_other_orientation():
+    # the single-orientation edge table relies on mirror-symmetric
+    # rules at every order the estimator uses (the oracle's surrogate
+    # reaches p_max + 2 = 14)
+    for p in range(1, 15):
+        s, w = interval_rule(2 * p + 2)
+        assert np.all(s + s[::-1] == 1.0)
+        assert np.all(w == w[::-1])
+        E = reference_kernels(p)["E"]
+        for l, (a, b) in enumerate(EDGE_VERTICES):
+            ends = np.eye(3)[:, 1:]
+            back = ends[b] * (1.0 - s)[:, None] + ends[a] * s[:, None]
+            want = np.moveaxis(tri_shapes(p, back)["grad"], 2, 0)
+            got = E[l].reshape(2, s.size, -1)[:, ::-1]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(E))
+
+
+def test_estimate_calls_each_traced_term_once(monkeypatch):
+    # the per-layer spans wrap these two names in hpeig.estimator, so
+    # estimate must reach them there, once each
+    calls = []
+    for name in ("element_residual_norms", "edge_jump_norms"):
+        def counted(*args, _fn=getattr(estimator, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(estimator, name, counted)
+    mesh = square_grid(3, region_fn=quadrant_region)
+    handler = DofHandler(mesh, 1 + np.arange(mesh.n_elements) % 3,
+                         dirichlet_tags=("boundary",))
+    coeffs = np.random.default_rng(5).standard_normal((handler.n_dofs, 2))
+    estimator.estimate(handler, coeffs, np.array([3.0, 7.0]), Coefficients())
+    assert sorted(calls) == ["edge_jump_norms", "element_residual_norms"]
