@@ -136,9 +136,7 @@ def decide_refinements(handler, field, vectors, marked, cfg):
     always bisect; analytic decay at degree below p_max increments.
     Returns (h_marked, p_marked, sigmas).
     """
-    empty = np.array([], dtype=np.int64)
-    if marked.size == 0:
-        return empty, empty, np.array([])
+    marked = np.asarray(marked, dtype=np.int64)
     # excluded modes have zero columns, so with none included this is 0
     members = np.argmax(field.scaled_local[marked], axis=1)
     sigmas = estimate_analyticity(handler, vectors, marked, members)

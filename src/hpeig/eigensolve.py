@@ -1,10 +1,11 @@
 """Lowest eigenpairs of the pencil (B, M) with symmetric B, positive M.
 
-B - shift M is factored once with SuperLU, and the wanted pairs are the
-largest eigenvalues mu = 1 / (lambda - shift) of OP = (B - shift M)^-1 M,
-self-adjoint in the M inner product.  A negative shift keeps the factor
-definite when B is only semidefinite (pure Neumann problems).  M is only
-applied: at shift 0 it may be a LinearOperator (mass_operator).
+B - shift M is factored once by _factor, the module's one SuperLU call,
+and the wanted pairs are the largest eigenvalues mu = 1 / (lambda - shift)
+of OP = (B - shift M)^-1 M, self-adjoint in the M inner product.  A
+negative shift keeps the factor definite when B is only semidefinite
+(pure Neumann problems); a singular pencil is a SolverError (CLI exit 3).
+M is only applied: an operator (mass_operator) needs shift 0, else ValueError.
 
 Every matrix hpeig factors is symmetric (here B - shift M and B - tau M;
 in defects the coarse stiffness and the surrogate's condensed interface
@@ -30,10 +31,9 @@ OP times the given vector; restarts keep the k + (ncv - k) // 2 largest
 Ritz pairs; a pair converges at |beta s| <= tol / 100 |mu|, a bound on
 OP's residual (the pencil's is checked against tol); vectors are
 purified.  M V is kept beside V, so both Gram-Schmidt passes take dot
-products with its rows: one M product a solve, against about three in
-ARPACK's generalized mode (1,275 for 430 solves in a slit_adaptive
-round).  A breakdown goes on from a random vector, uncoupled; one that
-orthogonalizes to exactly zero (n = 1) stays zero.
+products with its rows: one M product a solve.  A breakdown goes on
+from a random vector, uncoupled; one that orthogonalizes to exactly zero
+(n = 1) stays zero.
 """
 
 from dataclasses import dataclass
@@ -77,13 +77,22 @@ def check_residuals(B, M, cluster, tol):
     return cluster
 
 
+def _factor(B, M, sigma, what):
+    """SPD_LU factor of B - sigma M (of B at sigma 0); SolverError, naming
+    what, if SuperLU finds it exactly singular."""
+    if sigma != 0 and not scipy.sparse.issparse(M):
+        raise ValueError(f"{what}: an operator M needs sigma = 0")
+    A = (B if sigma == 0 else B - sigma * M).tocsr()
+    try:
+        return scipy.sparse.linalg.splu(A.T, **SPD_LU)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"{what}: B - {sigma:.6g} M: {exc}") from exc
+
+
 def count_below(B, M, tau):
     """Number of eigenvalues of (B, M), M sparse, below tau: by Sylvester's
     law of inertia, the negative pivots of SPD_LU's B - tau M = P L U P^T."""
-    try:
-        F = scipy.sparse.linalg.splu((B - tau * M).tocsr().T, **SPD_LU)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"inertia count: B - {tau:.6g} M: {exc}") from exc
+    F = _factor(B, M, tau, "inertia count")
     pivots = F.U.diagonal()
     if not np.array_equal(F.perm_r, F.perm_c) or not pivots.all():
         raise SolverError(f"inertia count: B - {tau:.6g} M was pivoted")
@@ -97,7 +106,7 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
     Parameters
     ----------
     B, M : symmetric, M positive definite.  B is sparse; M is sparse or,
-        at shift 0, a LinearOperator on (n,) and (n, k) arrays.
+        at shift 0 only, a LinearOperator on (n,) and (n, k) arrays.
     m : number of pairs.
     shift : pole of the inverted operator; must stay below the spectrum
         (0 for coercive B, negative when B is singular).
@@ -116,7 +125,7 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
 
     Returns
     -------
-    EigenCluster; raises SolverError if Lanczos, tol or the count fails.
+    EigenCluster; SolverError if the factor, Lanczos, tol or the count fails.
     """
     n = B.shape[0]
     if m > n:
@@ -125,8 +134,7 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
     rng = np.random.default_rng(seed)
     v0 = (rng.standard_normal(n) if x0 is None
           else np.asarray(x0, dtype=float).reshape(n, -1).sum(axis=1))
-    A = (B if shift == 0 else B - shift * M).tocsr()
-    F = scipy.sparse.linalg.splu(A.T, **SPD_LU)
+    F = _factor(B, M, shift, "shift-invert")
     ncv = min(n, max(2 * m + 1, 20))
     V, MV = np.empty((2, ncv + 1, n))
     solves = 0

@@ -116,8 +116,8 @@ def estimate(handler, coeffs, values, co):
     """Assemble the indicator field for computed eigenpairs.
 
     coeffs has shape (n_dofs, m) with columns the computed fields, else
-    ValueError; values are the matching eigenvalues.  Dirichlet edges
-    are read from the handler.
+    ValueError; values are the matching eigenvalues.  Interior edges weigh
+    1/2, all others 1: edge_jump_norms is zero on Dirichlet edges.
     """
     mesh = handler.mesh
     values = np.asarray(values, dtype=float)
@@ -133,8 +133,7 @@ def estimate(handler, coeffs, values, co):
 
     scale_el = (mesh.h / handler.degrees.astype(float)) ** 2
     edge_w = mesh.edge_length / handler.p_edge_max
-    edge_w = np.where(handler.edge_kinds == 0, 0.5 * edge_w,
-                      np.where(handler.edge_kinds == 2, edge_w, 0.0))
+    edge_w = np.where(handler.edge_kinds == 0, 0.5 * edge_w, edge_w)
     local = scale_el[:, None] * res \
         + np.einsum("kl,klm->km", edge_w[mesh.elem_edges],
                     jumps[mesh.elem_edges])

@@ -58,10 +58,10 @@ def study_rows(record, refs, seconds):
 def run_study(setup, out_path=None, vtk_dir=None, clock=None):
     """Run a configured study; returns (records, rows).
 
-    setup is a RunSetup; out_path, when given, receives the CSV log
-    and vtk_dir one mesh snapshot per step.  The CSV is opened and the
-    directory made before the first solve, so an unwritable path is a
-    ConfigError.  clock defaults to time.perf_counter.
+    setup is a RunSetup; out_path, when given, gets the CSV header before
+    the first solve and each row as its step ends (a failed study keeps
+    them), vtk_dir one mesh snapshot per step; an unwritable path is a
+    ConfigError before the first solve.  clock defaults to perf_counter.
     """
     clock = clock or time.perf_counter
     spec = problem(setup.problem_key)
@@ -69,16 +69,19 @@ def run_study(setup, out_path=None, vtk_dir=None, clock=None):
     try:
         if vtk_dir is not None:
             os.makedirs(vtk_dir, exist_ok=True)
-        fh = open(out_path or os.devnull, "w", newline="")
+        fh = open(out_path or os.devnull, "w", newline="", buffering=1)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
     with fh:
+        writer = csv.writer(fh)
+        writer.writerow(csv_header(setup.config.m))
         records, rows = [], []
         last = clock()
         for record in adapt_loop(setup.handler, spec.coefficients,
                                  setup.config):
             now = clock()
             rows.append(study_rows(record, refs, now - last))
+            writer.writerow(rows[-1])
             last = now
             records.append(record)
             if vtk_dir is not None:
@@ -87,7 +90,4 @@ def run_study(setup, out_path=None, vtk_dir=None, clock=None):
                           {"region": record.handler.mesh.region,
                            "degree": record.handler.degrees,
                            "indicator": record.field.element_totals})
-        writer = csv.writer(fh)
-        writer.writerow(csv_header(setup.config.m))
-        writer.writerows(rows)
     return records, rows

@@ -159,9 +159,11 @@ def test_decide_refinements_degree_rules():
         assert sorted(h_set.tolist() + p_set.tolist()) == [0, 1]
         assert p_set.tolist() == expect_p
         assert sigmas.size == 2
-    h_set, p_set, _ = decide_refinements(handler, field, vectors,
-                                         np.array([], dtype=np.int64), cfg)
-    assert h_set.size == p_set.size == 0
+    # an empty marked set takes the general path
+    for marked in ([], np.array([], dtype=np.int64)):
+        got = decide_refinements(handler, field, vectors, marked, cfg)
+        assert [a.shape for a in got] == [(0,)] * 3
+        assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
 
 
 def test_smooth_degrees_limits_jumps():

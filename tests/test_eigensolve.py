@@ -220,6 +220,25 @@ def test_count_below_singular_is_solver_error():
         count_below(B, M, 2.0)
 
 
+def test_singular_pencil_is_solver_error():
+    # _factor is solve_lowest's and count_below's one factorization, so
+    # SuperLU's exactly singular factor is a SolverError in both
+    B = scipy.sparse.diags([0.0, 1.0, 2.0, 3.0, 4.0]).tocsr()
+    M = scipy.sparse.identity(5, format="csr")
+    with pytest.raises(SolverError, match="exactly singular"):
+        solve_lowest(B, M, 2)
+    with pytest.raises(SolverError, match="inertia count.*exactly singular"):
+        count_below(B, M, 0.0)
+    assert count_below(B, M, 0.5) == 1
+
+
+def test_operator_mass_needs_shift_zero():
+    h = DofHandler(square_grid(2), 2)
+    B = assemble_stiffness(h, Coefficients())
+    with pytest.raises(ValueError, match="operator M needs sigma = 0"):
+        solve_lowest(B, mass_operator(h), 2, shift=-1.0)
+
+
 def test_cold_solves_find_the_double_eigenvalue():
     # triangle_hole at p = 3 (45 dofs) has a double lambda_2 = lambda_3,
     # of which a single start vector sees one copy in exact arithmetic;

@@ -2,9 +2,13 @@ import csv
 import math
 
 import numpy as np
+import pytest
 
+import hpeig.cli as cli
+from hpeig import adaptivity
 from hpeig.adaptivity import AdaptConfig
 from hpeig.config import RunSetup
+from hpeig.eigensolve import SolverError
 from hpeig.problems import problem
 from hpeig.runner import csv_header, run_study
 from hpeig.space import DofHandler
@@ -108,3 +112,39 @@ def test_vtk_snapshots(tmp_path):
     assert f"CELL_DATA {mesh.n_elements}" in text
     assert "SCALARS degree int 1" in text
     assert "SCALARS indicator double 1" in text
+
+
+def _fail_on_call(monkeypatch, n):
+    """Make the n-th solve_cluster call of adapt_loop raise SolverError."""
+    solve, calls = adaptivity.solve_cluster, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise SolverError("injected failure")
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(adaptivity, "solve_cluster", failing)
+
+
+def test_a_failed_study_keeps_its_finished_rows(tmp_path, monkeypatch,
+                                                capsys):
+    setup = _setup("square_dirichlet", 4, 3000)
+    full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+    run_study(setup, out_path=str(full), clock=FakeClock())
+    lines = full.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 5
+    # step 3's solve fails: the header and the rows of steps 0-2 stay
+    _fail_on_call(monkeypatch, 4)
+    with pytest.raises(SolverError, match="injected failure"):
+        run_study(setup, out_path=str(cut), clock=FakeClock())
+    assert cut.read_bytes() == b"".join(lines[:4])
+    # the same study through hpeig run exits 3 with the same rows, whose
+    # seconds column reads the real clock
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[problem]\nname = square_dirichlet\n\n"
+                   "[adapt]\ndof_budget = 3000\n")
+    _fail_on_call(monkeypatch, 4)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(cut)]) == 3
+    assert "injected failure" in capsys.readouterr().err
+    got = [row.rsplit(b",", 1)[0] for row in cut.read_bytes().splitlines()]
+    assert got == [row.rsplit(b",", 1)[0] for row in lines[:4]]
