@@ -1,15 +1,13 @@
 """The standing result check: every standing config, one JSON record.
 
     python3 standing/check.py [--out RECORD.json] [--compare OLD.json]
-                              [--configs DIR]
 
-DIR (default: this directory) holds `studies/*.ini`, adaptive studies
-run as `hpeig run` runs them, and `oracle/*.ini`, configs for `hpeig
-oracle-check`.  Each config runs in a fresh process with
-OPENBLAS_NUM_THREADS=1 and PYTHONHASHSEED=0, on the hpeig source next to
-this directory, in file-name order.  A study runs under a fake clock (0, 1, 2, ...); the
-record keeps its exit code, stderr, per-step n_dofs and every CSV
-column but `seconds`, as the CSV's text.  An oracle config keeps its
+This directory holds `studies/*.ini`, configs for `hpeig run`, and
+`oracle/*.ini`, configs for `hpeig oracle-check`.  Each config runs in a
+fresh process with OPENBLAS_NUM_THREADS=1 and PYTHONHASHSEED=0, on the
+hpeig source next to this directory, in file-name order.  A study's
+record keeps its exit code, stderr, per-step n_dofs and every CSV column
+but the timed `seconds`, as the CSV's text.  An oracle config keeps its
 exit code, stdout and stderr.
 
 --compare prints, per study and column, the rows that moved and the
@@ -34,34 +32,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 
-class FakeClock:
-    """Deterministic stand-in for perf_counter: 0, 1, 2, ..."""
-
-    def __init__(self):
-        self.t = -1.0
-
-    def __call__(self):
-        self.t += 1.0
-        return self.t
-
-
-def _study(config, out):
-    """Child process: run one study under the fake clock; CLI exit codes."""
-    from hpeig.cli import EXIT_CONFIG, EXIT_SOLVER
-    from hpeig.config import ConfigError, parse_config
-    from hpeig.eigensolve import SolverError
-    from hpeig.runner import run_study
-    try:
-        run_study(parse_config(config), out_path=out, clock=FakeClock())
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    return 0
-
-
 def _run(args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join(
@@ -81,7 +51,8 @@ def make_record(root):
         for config in _configs(root, "studies"):
             name = os.path.basename(config)[:-4]
             out = os.path.join(tmp, name + ".csv")
-            done = _run([os.path.abspath(__file__), "--study", config, out])
+            done = _run(["-m", "hpeig.cli", "run", "--config", config,
+                         "--out", out])
             table = []
             if os.path.exists(out):
                 with open(out, newline="") as fh:
@@ -169,20 +140,12 @@ def main(argv=None):
     parser.add_argument("--out", help="write the record to this path")
     parser.add_argument("--compare", metavar="OLD.json",
                         help="print what moved against this record")
-    parser.add_argument("--configs", default=HERE, metavar="DIR",
-                        help="directory with studies/ and oracle/")
-    parser.add_argument("--study", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.study:
-        return _study(*args.study)
-    root = os.path.abspath(args.configs)
-    if not (_configs(root, "studies") or _configs(root, "oracle")):
-        parser.error(f"no studies/*.ini or oracle/*.ini under {root}")
     old = None
     if args.compare:  # read first: --out may overwrite it
         with open(args.compare) as fh:
             old = json.load(fh)
-    text = dumps(make_record(root)) + "\n"
+    text = dumps(make_record(HERE)) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

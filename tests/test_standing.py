@@ -1,15 +1,13 @@
 """standing/check.py: one small study and one oracle config as a record.
 
 The full standing run stays out of tier-1, because its digits depend on
-the CPU; this runs the script on a config directory of its own and
-checks the record's shape and the comparison.
+the CPU; this makes the record of a config directory of its own and
+checks its shape, its JSON text and the comparison.
 """
 
 import importlib.util
 import json
 import os
-import subprocess
-import sys
 
 from hpeig.runner import csv_header
 
@@ -31,11 +29,9 @@ def test_standing_record_shape(tmp_path):
         "[problem]\nname = square_dirichlet\n\n[adapt]\ndof_budget = 200\n")
     (tmp_path / "oracle" / "coarse.ini").write_text(
         "[problem]\nname = square_dirichlet\n")
-    out = tmp_path / "record.json"
-    done = subprocess.run([sys.executable, CHECK, "--configs", str(tmp_path),
-                           "--out", str(out)], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    record = json.loads(out.read_text())
+    check = _check_module()
+    record = check.make_record(str(tmp_path))
+    assert json.loads(check.dumps(record)) == record
     assert list(record) == ["studies", "oracle"]
 
     study = record["studies"]["small"]
@@ -50,7 +46,6 @@ def test_standing_record_shape(tmp_path):
     assert (oracle["exit"], oracle["stderr"]) == (0, "")
     assert "oracle checks passed" in oracle["stdout"]
 
-    check = _check_module()
     assert check.compare(record, record) == []
     moved = json.loads(json.dumps(record))
     moved["studies"]["small"]["columns"]["lambda_1"][-1] = "1"
