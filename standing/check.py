@@ -5,16 +5,18 @@
 This directory holds `studies/*.ini`, configs for `hpeig run`, and
 `oracle/*.ini`, configs for `hpeig oracle-check`.  Each config runs in a
 fresh process with OPENBLAS_NUM_THREADS=1 and PYTHONHASHSEED=0, on the
-hpeig source next to this directory, in file-name order.  A study's
-record keeps its exit code, stderr, per-step n_dofs and every CSV column
-but the timed `seconds`, as the CSV's text.  An oracle config keeps its
-exit code, stdout and stderr.
+hpeig source next to this directory, in file-name order, and then
+`hpeig verify-references` runs the same way.  A study's record keeps its
+exit code, stderr, per-step n_dofs and every CSV column but the timed
+`seconds`, as the CSV's text.  An oracle config, and verify-references
+under `references`, keep their exit code, stdout and stderr.
 
 --compare prints, per study and column, the rows that moved and the
-largest relative move, and per oracle config the output lines that
-changed; it exits 1 if anything moved.  Two runs on one machine give
-byte-identical records, but other CPUs (OpenBLAS kernels) and other
-thread counts give other digits, so compare records made on one host.
+largest relative move, and per oracle config and for verify-references
+the output lines that changed; it exits 1 if anything moved.  Two runs
+on one machine give byte-identical records, but other CPUs (OpenBLAS
+kernels) and other thread counts give other digits, so compare records
+made on one host.
 """
 
 import argparse
@@ -46,7 +48,7 @@ def _configs(root, kind):
 
 def make_record(root):
     """Run every config under root; the record as a dict."""
-    record = {"studies": {}, "oracle": {}}
+    record = {"studies": {}, "oracle": {}, "references": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for config in _configs(root, "studies"):
             name = os.path.basename(config)[:-4]
@@ -63,11 +65,14 @@ def make_record(root):
                 "n_dofs": [int(row[head.index("dofs")]) for row in rows],
                 "columns": {col: [row[i] for row in rows]
                             for i, col in enumerate(head) if col != "seconds"}}
-    for config in _configs(root, "oracle"):
-        done = _run(["-m", "hpeig.cli", "oracle-check", "--config", config])
-        record["oracle"][os.path.basename(config)[:-4]] = {
-            "exit": done.returncode, "stdout": done.stdout,
-            "stderr": done.stderr}
+    commands = [("oracle", os.path.basename(config)[:-4],
+                  ["oracle-check", "--config", config])
+                 for config in _configs(root, "oracle")]
+    commands.append(("references", "verify-references", ["verify-references"]))
+    for kind, name, args in commands:
+        done = _run(["-m", "hpeig.cli", *args])
+        record[kind][name] = {"exit": done.returncode, "stdout": done.stdout,
+                              "stderr": done.stderr}
     return record
 
 
@@ -111,7 +116,7 @@ def _study_moves(a, b):
     return moved
 
 
-def _oracle_moves(a, b):
+def _output_moves(a, b):
     moved = ([f"  exit {a['exit']} -> {b['exit']}"]
              if a["exit"] != b["exit"] else [])
     for key in ("stdout", "stderr"):
@@ -125,12 +130,14 @@ def _oracle_moves(a, b):
 def compare(old, new):
     """Lines describing what moved from record old to record new."""
     lines = []
-    for kind, moves in (("studies", _study_moves), ("oracle", _oracle_moves)):
-        for name in sorted(set(old[kind]) | set(new[kind])):
-            if name not in old[kind] or name not in new[kind]:
-                side = "new" if name in new[kind] else "old"
+    for kind, moves in (("studies", _study_moves), ("oracle", _output_moves),
+                        ("references", _output_moves)):
+        a, b = old.get(kind, {}), new.get(kind, {})
+        for name in sorted(set(a) | set(b)):
+            if name not in a or name not in b:
+                side = "new" if name in b else "old"
                 lines.append(f"{kind} {name}: only in the {side} record")
-            elif moved := moves(old[kind][name], new[kind][name]):
+            elif moved := moves(a[name], b[name]):
                 lines += [f"{kind} {name}:", *moved]
     return lines
 
