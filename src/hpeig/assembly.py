@@ -218,10 +218,6 @@ def mass_operator(handler):
 
 def assemble_load(handler, coeffs):
     """Load vector (f, v) for f given by coefficients in the same space,
-    shape (n_dofs,) or (n_dofs, m >= 1), else ValueError: the product of
-    mass_operator(handler), in the same shape."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[:1] != (handler.n_dofs,) or coeffs.ndim > 2:
-        raise ValueError(f"coefficients need {handler.n_dofs} rows, got "
-                         f"shape {coeffs.shape}")
-    return mass_operator(handler) @ coeffs
+    which pass handler.checked: the product of mass_operator(handler), in
+    the same shape."""
+    return mass_operator(handler) @ handler.checked(coeffs)

@@ -40,20 +40,27 @@ def _cmd_run(args):
     return EXIT_OK
 
 
-def _cmd_verify_references(args):
-    checks = verify_references()
+def _report(checks, detail, what, notes=(), passed=""):
+    """Print a line per check (detail formats its fields), the notes and
+    the verdict; return the exit code."""
     bad = 0
     for check in checks:
         status = "ok" if check["ok"] else "FAIL"
-        print(f"{status:4s} {check['name']}: got {check['got']:.15g}, "
-              f"want {check['want']:.15g} (tol {check['tol']:g})")
+        print(f"{status:4s} {check['name']}: {detail.format(**check)}")
         bad += not check["ok"]
+    for note in notes:
+        print(note)
     if bad:
-        print(f"{bad} of {len(checks)} reference checks failed",
-              file=sys.stderr)
+        print(f"{bad} of {len(checks)} {what} checks failed", file=sys.stderr)
         return EXIT_CHECK
-    print(f"all {len(checks)} reference checks passed")
+    print(f"all {len(checks)} {what} checks passed{passed}")
     return EXIT_OK
+
+
+def _cmd_verify_references(args):
+    return _report(verify_references(),
+                   "got {got:.15g}, want {want:.15g} (tol {tol:g})",
+                   "reference")
 
 
 def _cmd_oracle_check(args):
@@ -72,24 +79,11 @@ def _cmd_oracle_check(args):
     checks, report = oracle_checks(handler, spec.coefficients,
                                    cluster.values, cluster.vectors,
                                    refs=vals[:cfg.m], next_value=next_value)
-    bad = 0
-    for check in checks:
-        status = "ok" if check["ok"] else "FAIL"
-        detail = ", ".join(f"{k}={v:.6g}" for k, v in check.items()
-                           if k not in ("name", "ok")
-                           and isinstance(v, (int, float)))
-        print(f"{status:4s} {check['name']}: {detail}")
-        bad += not check["ok"]
-    if next_value is None:
-        print("skip cluster_lower_bound: no reference value beyond the cluster")
-    print(f"defect spectrum: {np.array2string(report.eta2, precision=6)}")
-    if bad:
-        print(f"{bad} of {len(checks)} oracle checks failed",
-              file=sys.stderr)
-        return EXIT_CHECK
-    print(f"all {len(checks)} oracle checks passed "
-          f"({handler.n_dofs} dofs, surrogate {report.fine_dofs})")
-    return EXIT_OK
+    notes = ["skip cluster_lower_bound: no reference value beyond the "
+             "cluster"] if next_value is None else []
+    notes.append(f"defect spectrum: {np.array2string(report.eta2, precision=6)}")
+    return _report(checks, "value={value:.6g}, tol={tol:.6g}", "oracle", notes,
+                   f" ({handler.n_dofs} dofs, surrogate {report.fine_dofs})")
 
 
 def _cmd_list_problems(args):

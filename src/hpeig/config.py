@@ -4,7 +4,8 @@ A run file has a [problem] section naming the benchmark and optional
 [adapt] and [solver] sections overriding the defaults in AdaptConfig.
 Unknown sections or keys are rejected so typos fail loudly.  The initial
 mesh and space are built once: a grid past 32-bit ids, a mesh the problem's
-builder rejects or has no memory for, or a space under m dofs fail here.
+builder rejects, a mesh or space there is no memory for, or a space under
+m dofs fail here.
 """
 
 import configparser
@@ -98,10 +99,10 @@ def parse_config(path):
         raise ConfigError(f"m = {cfg.m} exceeds the {n_refs} reference "
                           f"eigenvalues of problem {spec.key!r}")
     try:
-        mesh = spec.mesh(cells)
+        handler = DofHandler(spec.mesh(cells), cfg.p_init, spec.dirichlet_tags)
     except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"initial_cells = {cells}: {exc}") from exc
-    handler = DofHandler(mesh, cfg.p_init, spec.dirichlet_tags)
+        raise ConfigError(f"the initial space (initial_cells = {cells}, "
+                          f"p_init = {cfg.p_init}): {exc}") from exc
     if handler.n_dofs < cfg.m:
         raise ConfigError(f"the initial space has {handler.n_dofs} dofs, "
                           f"fewer than m = {cfg.m}")

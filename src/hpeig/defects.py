@@ -203,34 +203,29 @@ def oracle_checks(handler, co, values, vectors, refs=None, next_value=None):
     """
     _check_coercive(handler, co)
     checks = []
+
+    def add(name, value, tol, ok):
+        checks.append({"name": name, "value": value, "tol": tol, "ok": ok})
+
     B = assemble_stiffness(handler, co)
     loads = assemble_load(handler, vectors)
     back = splu(B.T, **SPD_LU).solve(loads)
     resid = np.linalg.norm(back - vectors / np.asarray(values)[None, :])
     scale = np.linalg.norm(back)
-    checks.append({"name": "discrete_solution_identity",
-                   "value": resid / scale, "tol": 1e-9,
-                   "ok": resid <= 1e-9 * scale})
+    add("discrete_solution_identity", resid / scale, 1e-9,
+        resid <= 1e-9 * scale)
 
     report, fine = defect_report(handler, co, values, vectors)
     lo, hi = report.trace_slacks()
     span = max(report.trace_upper, 1e-300)
-    checks.append({"name": "trace_sandwich_lower", "value": lo / span,
-                   "tol": -1e-10, "ok": lo >= -1e-10 * span})
-    checks.append({"name": "trace_sandwich_upper", "value": hi / span,
-                   "tol": -1e-10, "ok": hi >= -1e-10 * span})
-    checks.append({"name": "defects_nonnegative",
-                   "value": float(report.eta2[0]), "tol": -1e-12,
-                   "ok": report.eta2[0] >= -1e-12})
-    checks.append({"name": "defects_below_one",
-                   "value": float(report.eta2[-1]), "tol": 1.0,
-                   "ok": report.eta2[-1] < 1.0})
-    checks.append({"name": "gradient_matrix_deviation",
-                   "value": report.d_l, "tol": 1.0,
-                   "ok": report.d_l < 1.0})
+    add("trace_sandwich_lower", lo / span, -1e-10, lo >= -1e-10 * span)
+    add("trace_sandwich_upper", hi / span, -1e-10, hi >= -1e-10 * span)
+    add("defects_nonnegative", float(report.eta2[0]), -1e-12,
+        report.eta2[0] >= -1e-12)
+    add("defects_below_one", float(report.eta2[-1]), 1.0,
+        report.eta2[-1] < 1.0)
+    add("gradient_matrix_deviation", report.d_l, 1.0, report.d_l < 1.0)
     if refs is not None and next_value is not None:
         bound = cluster_bound_check(report, refs, next_value)
-        checks.append({"name": "cluster_lower_bound",
-                       "value": bound["ratio"],
-                       "tol": 1.0, "ok": bound["ok"]})
+        add("cluster_lower_bound", bound["ratio"], 1.0, bound["ok"])
     return checks, report

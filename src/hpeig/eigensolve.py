@@ -107,7 +107,7 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
     ----------
     B, M : symmetric, M positive definite.  B is sparse; M is sparse or,
         at shift 0 only, a LinearOperator on (n,) and (n, k) arrays.
-    m : number of pairs.
+    m : number of pairs, 1 <= m <= n (else ValueError).
     shift : pole of the inverted operator; must stay below the spectrum
         (0 for coercive B, negative when B is singular).
     tol : largest accepted relative residual of a returned pair.
@@ -128,7 +128,7 @@ def solve_lowest(B, M, m, shift=0.0, tol=1e-10, max_iter=500, seed=0,
     EigenCluster; SolverError if the factor, Lanczos, tol or the count fails.
     """
     n = B.shape[0]
-    if m > n:
+    if not 1 <= m <= n:
         raise ValueError(f"asked for {m} pairs in dimension {n}")
 
     rng = np.random.default_rng(seed)

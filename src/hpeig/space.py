@@ -35,7 +35,8 @@ class DofHandler:
     and vertex_dof[v] the dof of vertex v (-1 on Dirichlet vertices).
     p_conf[e] and p_edge_max[e] are the smaller (conforming) and larger
     degree on edge e, edge_kinds = mesh.edge_kinds(dirichlet_tags).
-    Coefficient vectors have shape (n_dofs,) or (n_dofs, m).
+    Coefficient vectors have shape (n_dofs,) or (n_dofs, m);
+    checked(coeffs) is the one gate every coefficient array passes.
 
     Parameters
     ----------
@@ -102,17 +103,21 @@ class DofHandler:
             l2g[:, bi] = self.bubble_offset[ids][:, None] + np.arange(bi.size)
             self.groups[p] = (ids, l2g, signs)
 
+    def checked(self, coeffs):
+        """coeffs as a float (n_dofs,) or (n_dofs, m) array, else ValueError."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape[:1] != (self.n_dofs,) or coeffs.ndim > 2:
+            raise ValueError(f"coefficients need {self.n_dofs} rows, got "
+                             f"shape {coeffs.shape}")
+        return coeffs
+
     def gather(self, coeffs, p, rows=slice(None)):
         """Signed local coefficients of the degree-p group (or its rows).
 
-        coeffs has shape (n_dofs,) or (n_dofs, m); returns
-        (n, n_local(p)) or (n, n_local(p), m), zero on absent modes.
-        Raises ValueError when coeffs does not have n_dofs rows.
+        coeffs passes checked; returns (n, n_local(p)) or
+        (n, n_local(p), m), zero on absent modes.
         """
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape[:1] != (self.n_dofs,):
-            raise ValueError(f"coefficients need {self.n_dofs} rows, got "
-                             f"shape {coeffs.shape}")
+        coeffs = self.checked(coeffs)
         if not self.n_dofs:  # every mode is absent
             coeffs = np.zeros((1,) + coeffs.shape[1:])
         _, l2g, signs = self.groups[p]
@@ -136,13 +141,9 @@ def transfer(old, new, coeffs):
     parents' coefficients: the identity to whole elements, which keep
     their parent's vertices, and reference_kernels(p)["C"] to children.
 
-    coeffs has shape (old.n_dofs,) or (old.n_dofs, m), else ValueError;
-    returns the same with new.n_dofs rows.
+    coeffs passes old.checked; returns it carried to new.n_dofs rows.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[:1] != (old.n_dofs,):
-        raise ValueError(f"coefficients need {old.n_dofs} rows, got "
-                         f"shape {coeffs.shape}")
+    coeffs = old.checked(coeffs)
     if old.dirichlet_tags != new.dirichlet_tags:
         raise ValueError("transfer requires the same Dirichlet tags")
     squeeze = coeffs.ndim == 1

@@ -85,6 +85,9 @@ def test_run_m_above_references_exits_2(tmp_path, capsys):
     ("problem", "initial_cells = -2"),
     # the mesh's first array, 8 PB of grid coordinates, cannot be allocated
     ("problem", f"initial_cells = {10**15}"),
+    # the space's first array, 11 PiB of dof ids, cannot be allocated
+    pytest.param("adapt", "p_init = 10000000\np_max = 10000000",
+                 id="adapt-p_init = p_max = 10000000"),
 ])
 def test_run_out_of_range_setting_exits_2(tmp_path, capsys, section, setting):
     # [problem] settings join the name line; a second [problem] header
@@ -158,11 +161,16 @@ def test_verify_references_ok(capsys):
 
 
 def test_verify_references_failure_exit(capsys, monkeypatch):
-    bad = [{"name": "broken", "got": 1.0, "want": 2.0, "tol": 0.1,
+    bad = [{"name": "fine", "got": 3.0, "want": 3.0, "tol": 1e-12,
+            "ok": True},
+           {"name": "broken", "got": 1.0, "want": 2.0, "tol": 0.1,
             "ok": False}]
     monkeypatch.setattr(cli, "verify_references", lambda: bad)
     assert cli.main(["verify-references"]) == 4
-    assert "FAIL broken" in capsys.readouterr().out
+    assert capsys.readouterr() == (
+        "ok   fine: got 3, want 3 (tol 1e-12)\n"
+        "FAIL broken: got 1, want 2 (tol 0.1)\n",
+        "1 of 2 reference checks failed\n")
 
 
 def test_oracle_check_ok(tmp_path, capsys):

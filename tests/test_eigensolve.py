@@ -152,7 +152,7 @@ def test_warm_start_reduces_iterations():
     assert np.allclose(warm.values, cold.values, rtol=1e-9)
 
 
-def test_failure_raises():
+def test_failure_raises(monkeypatch):
     B, M = random_pencil(250, seed=7)
     with pytest.raises(SolverError):
         solve_lowest(B, M, 4, tol=1e-15, max_iter=2)
@@ -160,8 +160,15 @@ def test_failure_raises():
                                   None, 1, 0)
     with pytest.raises(SolverError, match="residual nan"):
         eigensolve.check_residuals(B, M, nan, 1e-10)
-    with pytest.raises(ValueError):
-        solve_lowest(B, M, 251)
+
+    def no_factor(*args):
+        raise AssertionError("factored before checking m")
+
+    # m outside 1..n is rejected before any factorization
+    monkeypatch.setattr(eigensolve, "_factor", no_factor)
+    for m in (0, -1, 251):
+        with pytest.raises(ValueError, match=f"asked for {m} pairs"):
+            solve_lowest(B, M, m)
 
 
 def test_arpack_no_convergence_is_solver_error():

@@ -185,6 +185,9 @@ def test_gather_reads_signed_coefficients():
         assert np.array_equal(h.gather(coeffs[:, 1], p), want[:, :, 1])
         rows = np.arange(ids.size)[::-2]
         assert np.array_equal(h.gather(coeffs, p, rows), want[rows])
+        for bad in (coeffs[1:], np.ones((h.n_dofs, 3, 1))):
+            with pytest.raises(ValueError, match="rows"):
+                h.gather(bad, p)
 
 
 def test_continuity_across_interior_edges():
@@ -384,6 +387,8 @@ def test_transfer_checks_vector_length_and_tags():
         transfer(h, hf, full)
     with pytest.raises(ValueError, match="rows"):
         transfer(h, hf, full[:, None])
+    with pytest.raises(ValueError, match="rows"):
+        transfer(h, hf, np.ones((h.n_dofs, 3, 1)))
     with pytest.raises(ValueError, match="Dirichlet"):
         transfer(h, DofHandler(hf.mesh, 2), np.ones(h.n_dofs))
 

@@ -1,4 +1,5 @@
-"""standing/check.py: one small study and one oracle config as a record.
+"""standing/check.py: one small study, one oracle config and
+verify-references as a record.
 
 The full standing run stays out of tier-1, because its digits depend on
 the CPU; this makes the record of a config directory of its own and
@@ -32,7 +33,7 @@ def test_standing_record_shape(tmp_path):
     check = _check_module()
     record = check.make_record(str(tmp_path))
     assert json.loads(check.dumps(record)) == record
-    assert list(record) == ["studies", "oracle"]
+    assert list(record) == ["studies", "oracle", "references"]
 
     study = record["studies"]["small"]
     assert (study["exit"], study["stderr"]) == (0, "")
@@ -45,14 +46,22 @@ def test_standing_record_shape(tmp_path):
     oracle = record["oracle"]["coarse"]
     assert (oracle["exit"], oracle["stderr"]) == (0, "")
     assert "oracle checks passed" in oracle["stdout"]
+    references = record["references"]["verify-references"]
+    assert (references["exit"], references["stderr"]) == (0, "")
+    assert "reference checks passed" in references["stdout"]
 
     assert check.compare(record, record) == []
+    older = {k: v for k, v in record.items() if k != "references"}
+    assert check.compare(older, record) == [
+        "references verify-references: only in the new record"]
     moved = json.loads(json.dumps(record))
     moved["studies"]["small"]["columns"]["lambda_1"][-1] = "1"
     moved["oracle"]["coarse"]["exit"] = 4
+    moved["references"]["verify-references"]["stderr"] = "late\n"
     assert check.compare(record, moved) == [
         "studies small:",
         f"  lambda_1: 1 of {len(dofs)} rows moved (first at step "
         f"{len(dofs) - 1}), largest relative move "
         f"{abs(1 / float(study['columns']['lambda_1'][-1]) - 1):.2g}",
-        "oracle coarse:", "  exit 0 -> 4"]
+        "oracle coarse:", "  exit 0 -> 4",
+        "references verify-references:", "  stderr +late"]
