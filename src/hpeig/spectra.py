@@ -8,9 +8,11 @@ cross-checks them where both exist.
 The slit disk is not a benchmark problem: its lowest eigenvalues,
 squared roots of quarter-order Bessel functions, check the root finder
 against 30-digit published values.  Roots come from safeguarded Newton
-steps on scipy.special.jv and jvp (Amos, ACM TOMS 12, 1986); the tests
-hold them within 1e-14 relative of mpmath's zeros.  scipy.optimize is
-avoided because importing it is slow.
+steps on scipy.special.jv and jvp (Amos, ACM TOMS 12, 1986), taken on
+every bracket of every requested order as one array; each element does
+the operations of a lone scalar iteration, so the roots are the same
+bit for bit.  The tests hold them within 1e-14 relative of mpmath's
+zeros.  scipy.optimize is avoided because importing it is slow.
 """
 
 import functools
@@ -18,41 +20,44 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import jv, jvp
 
 
-@functools.lru_cache(maxsize=None)
-def _roots(nu):
-    """Positive roots of J_nu below 60 in increasing order.
+_ROOTS = {}  # order -> its first ten positive roots
+
+
+def _fill(nus):
+    """Cache the first ten positive roots of J_nu for each order in nus.
 
     For nu >= -1/2 the first root lies above 1.5 and consecutive roots
-    are more than 3 apart, so a sign scan with unit step from x = 1
-    brackets each root alone.  Each iterate in a bracket first shrinks
-    it by its sign, then takes the Newton step J/J', or bisects if that
-    step leaves the closed bracket; a step below 1e-14 z ends the
-    iteration.  The closed test matters: an iterate that lands on the
-    root becomes a bracket end, and its tiny next step must not bisect.
+    are more than 3 apart, so the first ten sign changes of J_nu on
+    x = 1..60 bracket one root each.  In every bracket at once, each on
+    its own, an iterate shrinks the bracket by its sign, then takes the
+    Newton step J/J', or bisects if the step leaves the closed bracket
+    (an iterate on the root becomes a bracket end, and its tiny next step
+    must not bisect), until a step is below 1e-14 z.
     """
-    roots = []
-    for x in range(1, 60):
-        a, b = float(x), float(x + 1)
-        j_a = jv(nu, a)
-        if j_a * jv(nu, b) >= 0:
-            continue
-        z = (a + b) / 2
-        for _ in range(100):
-            j = jv(nu, z)
-            a, b = (z, b) if (j > 0) == (j_a > 0) else (a, z)
-            step = j / jvp(nu, z)
-            if not a <= z - step <= b:
-                step = z - (a + b) / 2
-            z -= step
-            if abs(step) <= 1e-14 * z:
-                break
-        else:
-            raise RuntimeError(f"no convergence to the root of J_{nu} in ({x}, {x + 1})")
-        roots.append(z)
-    return tuple(roots)
+    nus = np.array([nu for nu in dict.fromkeys(nus) if nu not in _ROOTS], float)
+    j_x = jv(nus[:, None], np.arange(1.0, 61.0))
+    change = j_x[:, :-1] * j_x[:, 1:] < 0
+    row, col = np.nonzero(change & (np.cumsum(change, axis=1) <= 10))
+    nu, j_a, a, b = nus[row], j_x[row, col], col + 1.0, col + 2.0
+    z, todo, out = (a + b) / 2, np.arange(row.size), np.empty(row.size)
+    for _ in range(100):
+        j = jv(nu, z)
+        a, b = np.where((j > 0) == (j_a > 0), (z, b), (a, z))
+        step = j / jvp(nu, z)
+        step = np.where((a <= z - step) & (z - step <= b), step, z - (a + b) / 2)
+        z = z - step
+        done = np.abs(step) <= 1e-14 * z
+        out[todo[done]] = z[done]
+        nu, j_a, a, b, z, todo = (v[~done] for v in (nu, j_a, a, b, z, todo))
+        if not todo.size:
+            break
+    else:
+        raise RuntimeError(f"no convergence to a root of J_{nu[0]} in ({a[0]}, {b[0]})")
+    _ROOTS.update(zip(nus.tolist(), out.reshape(-1, 10)))
 
 
 def bessel_root(nu, m):
@@ -65,7 +70,9 @@ def bessel_root(nu, m):
         raise ValueError("order outside [-1/2, 5]")
     if not isinstance(m, numbers.Integral) or not 1 <= m <= 10:
         raise ValueError("root index must be an integer in 1..10")
-    return _roots(nu)[m - 1]
+    if nu not in _ROOTS:
+        _fill([nu])
+    return _ROOTS[nu][m - 1]
 
 
 def square_dirichlet(i, j):
@@ -100,14 +107,15 @@ class ReferenceSpectrum:
     entries: list
 
     def flat(self, m=None):
-        """Per-mode (values, accuracies) arrays, multiplicities expanded."""
+        """Per-mode (values, accuracies) arrays, multiplicities expanded;
+        the lowest m of them for an integer m in 1..len."""
         vals, accs = [], []
         for value, mult, acc, _ in self.entries:
             vals.extend([value] * mult)
             accs.extend([acc] * mult)
         if m is not None:
-            if m > len(vals):
-                raise ValueError(f"only {len(vals)} reference values for {self.name}")
+            if not isinstance(m, numbers.Integral) or not 1 <= m <= len(vals):
+                raise ValueError(f"{self.name}: m must be an integer in 1..{len(vals)}")
             vals, accs = vals[:m], accs[:m]
         return vals, accs
 
@@ -130,10 +138,11 @@ def slit_disk_values(count):
     The enumeration window (k <= 8, m <= 4) is complete for the first 8
     values: the first omitted candidates square to well above the 8th.
     """
-    if count > 8:
-        raise ValueError("enumeration window supports at most 8 values")
-    fam = [bessel_root((2 * k - 1) / 4.0, m) ** 2
-           for k in range(1, 9) for m in range(1, 5)]
+    if not isinstance(count, numbers.Integral) or not 1 <= count <= 8:
+        raise ValueError("count must be an integer in 1..8, the enumeration window")
+    orders = [(2 * k - 1) / 4.0 for k in range(1, 9)]
+    _fill(orders)
+    fam = [bessel_root(nu, m) ** 2 for nu in orders for m in range(1, 5)]
     return sorted(fam)[:count]
 
 

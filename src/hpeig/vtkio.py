@@ -11,13 +11,16 @@ import numpy as np
 def write_vtk(path, mesh, cell_data=None):
     """Write a triangle mesh and per-element scalars to a .vtk file.
 
-    cell_data maps field names to length-n_elements arrays; integer
+    cell_data maps whitespace-free names to 1-D length-n_elements
+    arrays (else ValueError, before anything is written); integer
     arrays are written as int scalars, everything else as double.
     """
-    cell_data = cell_data or {}
+    cell_data = {name: np.asarray(arr) for name, arr in (cell_data or {}).items()}
     for name, arr in cell_data.items():
-        if len(arr) != mesh.n_elements:
-            raise ValueError(f"cell field {name!r} has wrong length")
+        if arr.shape != (mesh.n_elements,):
+            raise ValueError(f"cell field {name!r} has wrong length or is not 1-D")
+        if name.split() != [name]:
+            raise ValueError(f"cell field name {name!r} is empty or has whitespace")
     lines = ["# vtk DataFile Version 3.0", "hpeig step", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_vertices} double"]
@@ -31,7 +34,6 @@ def write_vtk(path, mesh, cell_data=None):
     if cell_data:
         lines.append(f"CELL_DATA {mesh.n_elements}")
         for name, arr in cell_data.items():
-            arr = np.asarray(arr)
             if np.issubdtype(arr.dtype, np.integer):
                 lines.append(f"SCALARS {name} int 1")
                 lines.append("LOOKUP_TABLE default")

@@ -5,8 +5,9 @@ by einsum element matrices and a global symmetrization, the earlier
 COO scatter of per-group entry lists, the load by quadrature, the
 defect report on the fully assembled surrogate stiffness, the
 eigensolve as it was when M had to be sparse, the Dubiner basis, an
-orthonormal modal basis made apart from the hierarchical one, and the
-equilateral triangle grid built by nested loops.
+orthonormal modal basis made apart from the hierarchical one, the
+equilateral triangle grid built by nested loops, and the Bessel-root
+iteration run one bracket at a time.
 
 The library never evaluates a field at arbitrary points or builds one
 from a callable; the tests do both to check it independently.
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import splu
-from scipy.special import eval_jacobi
+from scipy.special import eval_jacobi, jv, jvp
 
 from hpeig.assembly import (assemble_stiffness, pulled_back_diffusion,
                             reference_kernels)
@@ -397,3 +398,31 @@ def reference_solve_lowest(B, M, m):
              + np.abs(theta) * np.linalg.norm(MX, axis=0))
     scale = np.maximum(scale, np.linalg.norm(MX, axis=0))
     return theta, X, np.linalg.norm(R, axis=0) / scale
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_bessel_roots(nu):
+    """Positive roots of J_nu below 60, one bracket and one scalar
+    Newton iteration at a time: the iteration spectra._fill runs on all
+    brackets at once, in the form it had before, as its bitwise oracle.
+    """
+    roots = []
+    for x in range(1, 60):
+        a, b = float(x), float(x + 1)
+        j_a = jv(nu, a)
+        if j_a * jv(nu, b) >= 0:
+            continue
+        z = (a + b) / 2
+        for _ in range(100):
+            j = jv(nu, z)
+            a, b = (z, b) if (j > 0) == (j_a > 0) else (a, z)
+            step = j / jvp(nu, z)
+            if not a <= z - step <= b:
+                step = z - (a + b) / 2
+            z -= step
+            if abs(step) <= 1e-14 * z:
+                break
+        else:
+            raise RuntimeError(f"no convergence to the root of J_{nu} in ({x}, {x + 1})")
+        roots.append(z)
+    return tuple(roots)

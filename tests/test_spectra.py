@@ -7,6 +7,7 @@ import sys
 import time
 
 import mpmath
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import hpeig
 from hpeig import spectra
+from helpers import scalar_bessel_roots
 
 
 def test_bessel_roots_integer_orders():
@@ -61,6 +63,37 @@ def test_bessel_roots_match_mpmath_zeros(k, m):
     assert spectra.bessel_root(k / 4.0, m) == pytest.approx(mpmath_zero(k / 4.0, m), rel=1e-14)
 
 
+orders = st.floats(-0.5, 5.0, allow_nan=False)
+
+
+@settings(max_examples=30)
+@given(nu=orders, m=st.integers(1, 10))
+def test_bessel_roots_equal_the_scalar_iteration_bit_for_bit(nu, m):
+    assert spectra.bessel_root(nu, m) == scalar_bessel_roots(nu)[m - 1]
+
+
+@settings(max_examples=10)
+@given(nus=st.lists(orders, min_size=2, max_size=6))
+def test_one_fill_of_many_orders_equals_one_fill_per_order(nus):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_ROOTS", {})
+        spectra._fill(nus)
+        together = dict(spectra._ROOTS)
+        for nu in nus:
+            mp.setattr(spectra, "_ROOTS", {})
+            spectra._fill([nu])
+            assert spectra._ROOTS[nu].tolist() == together[nu].tolist()
+            assert together[nu].tolist() == list(scalar_bessel_roots(nu)[:10])
+
+
+def test_bessel_roots_at_the_contract_edges():
+    assert spectra.bessel_root(5.0, 10) == scalar_bessel_roots(5.0)[9]
+    assert spectra.bessel_root(5.0, 10) == pytest.approx(38.15986856196713, rel=1e-15)
+    # J_{-1/2}(x) is a multiple of cos(x) / sqrt(x)
+    assert spectra.bessel_root(-0.5, 1) == scalar_bessel_roots(-0.5)[0]
+    assert spectra.bessel_root(-0.5, 1) == pytest.approx(math.pi / 2, rel=1e-15)
+
+
 def test_slit_disk_roots_against_mpmath():
     # mpmath's own zero finder on its own Bessel evaluation
     for k in range(1, 9):
@@ -77,8 +110,14 @@ def test_slit_disk_table_reproduced():
     # first five are leading roots of successive quarter orders, the sixth
     # is the second root of the lowest order overtaking the next family
     assert got[5] == pytest.approx(spectra.bessel_root(0.25, 2) ** 2, rel=1e-13)
-    with pytest.raises(ValueError):
-        spectra.slit_disk_values(9)
+    assert spectra.slit_disk_values(1) == got[:1]
+    assert len(spectra.slit_disk_values(8)) == 8
+
+
+@pytest.mark.parametrize("count", [0, -1, 9, 2.5, "3", None])
+def test_slit_disk_values_takes_an_integer_in_1_to_8(count):
+    with pytest.raises(ValueError, match="1..8"):
+        spectra.slit_disk_values(count)
 
 
 def test_slit_circle_second_is_pi_squared():
@@ -117,6 +156,16 @@ def test_registry_keys_and_flat_expansion():
             spectra.registry(key)
     with pytest.raises(ValueError):
         spectra.registry("diffusion_a10").flat(4)
+
+
+def test_flat_takes_none_or_an_integer_in_1_to_len():
+    ref = spectra.registry("square_dirichlet")
+    vals, accs = ref.flat()
+    assert ref.flat(len(vals)) == (vals, accs)
+    assert ref.flat(np.int64(2)) == (vals[:2], accs[:2])
+    for m in (-1, 0, len(vals) + 1, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"1..{len(vals)}"):
+            ref.flat(m)
 
 
 def test_slit_square_exact_modes_match_published_pins():

@@ -50,3 +50,19 @@ def test_wrong_length_rejected(tmp_path):
     mesh = _two_triangles()
     with pytest.raises(ValueError, match="wrong length"):
         write_vtk(str(tmp_path / "bad.vtk"), mesh, {"f": np.zeros(3)})
+
+
+@pytest.mark.parametrize("field", [np.zeros((2, 2)), np.zeros((2, 1)), np.float64(1.0)])
+def test_field_not_1d_rejected_before_writing(tmp_path, field):
+    path = tmp_path / "bad.vtk"
+    with pytest.raises(ValueError, match="not 1-D"):
+        write_vtk(str(path), _two_triangles(), {"f": field})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["my field", "tab\tname", "line\n", ""])
+def test_field_name_with_whitespace_rejected_before_writing(tmp_path, name):
+    path = tmp_path / "bad.vtk"
+    with pytest.raises(ValueError, match="whitespace"):
+        write_vtk(str(path), _two_triangles(), {name: np.zeros(2)})
+    assert not path.exists()
