@@ -55,8 +55,9 @@ class AdaptConfig:
             raise ValueError("theta must lie in (0, 1]")
         if self.m < 1 or self.p_init < 1 or self.p_max < self.p_init:
             raise ValueError("need m >= 1 and 1 <= p_init <= p_max")
-        if self.max_steps < 1 or self.solver_max_iter < 1:
-            raise ValueError("max_steps and solver max_iter must be >= 1")
+        if min(self.max_steps, self.dof_budget, self.solver_max_iter) < 1:
+            raise ValueError("max_steps, dof_budget and solver max_iter "
+                             "must be >= 1")
         if not 0.0 < self.solver_tol < math.inf:
             raise ValueError("solver tol must be finite and positive")
         if math.isnan(self.sigma0):

@@ -56,10 +56,10 @@ def _section(parser, name, allowed):
 
 def parse_config(path):
     """Parse a run file into a RunSetup; raises ConfigError on problems."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -94,10 +94,10 @@ def parse_config(path):
         cfg = AdaptConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    n_refs = len(registry(spec.reference).flat()[0])
-    if cfg.m > n_refs:
-        raise ConfigError(f"m = {cfg.m} exceeds the {n_refs} reference "
-                          f"eigenvalues of problem {spec.key!r}")
+    try:
+        registry(spec.reference).flat(cfg.m)
+    except ValueError as exc:
+        raise ConfigError(f"reference spectrum {exc}") from exc
     try:
         handler = DofHandler(spec.mesh(cells), cfg.p_init, spec.dirichlet_tags)
     except (ValueError, MemoryError) as exc:

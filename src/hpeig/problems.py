@@ -1,7 +1,7 @@
 """Benchmark problem definitions: geometry, materials, references.
 
-Each problem pairs a mesh factory with boundary conditions, piecewise
-constant materials, and the key of its reference spectrum.  The
+Each problem pairs a mesh factory with boundary conditions and piecewise
+constant materials; its key also names its reference spectrum.  The
 checkerboard problems put the contrast on the lower-left and
 upper-right quadrants of the unit square.
 """
@@ -23,15 +23,19 @@ def _quadrants(centroids):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A named benchmark: mesh builder, boundary data, materials."""
+    """A named benchmark: mesh builder, boundary data, materials.  The key
+    also names its reference spectrum, spectra.registry(key)."""
     key: str
     description: str
     build: object
     default_cells: int
     dirichlet_tags: tuple
     coefficients: Coefficients
-    reference: str
     m: int
+
+    @property
+    def reference(self):
+        return self.key
 
     def mesh(self, cells=None):
         """Initial mesh with the given (or default) resolution."""
@@ -51,52 +55,37 @@ def _registry():
     sq_q = lambda n: square_grid(n, region_fn=_quadrants)
     tri = lambda n: triangle_grid(n, side=1.0)
     hole = lambda n: triangle_hole_grid()
-    return {
-        "square_dirichlet": ProblemSpec(
-            "square_dirichlet",
-            "Laplacian on the unit square, Dirichlet boundary",
-            square_grid, 4, ("boundary",), Coefficients(),
-            "square_dirichlet", 4),
-        "square_neumann": ProblemSpec(
-            "square_neumann",
-            "Laplacian on the unit square, Neumann boundary",
-            square_grid, 4, (), Coefficients(), "square_neumann", 4),
-        "triangle": ProblemSpec(
-            "triangle",
-            "Laplacian on the unit equilateral triangle, Dirichlet",
-            tri, 4, ("boundary",), Coefficients(), "triangle", 4),
-        "triangle_hole": ProblemSpec(
-            "triangle_hole",
-            "equilateral triangle, side 2, concentric side-1/2 hole, "
-            "Dirichlet on both boundaries",
-            hole, 0, ("outer", "hole"), Coefficients(), "triangle_hole", 3),
-        "reaction_kappa10": ProblemSpec(
-            "reaction_kappa10",
-            "checkerboard zero-order term, contrast 10, Neumann",
-            sq_q, 4, (), _checkerboard("reaction", 10.0),
-            "reaction_kappa10", 4),
-        "reaction_kappa100": ProblemSpec(
-            "reaction_kappa100",
-            "checkerboard zero-order term, contrast 100, Neumann",
-            sq_q, 4, (), _checkerboard("reaction", 100.0),
-            "reaction_kappa100", 4),
-        "diffusion_a10": ProblemSpec(
-            "diffusion_a10",
-            "checkerboard diffusion, contrast 10, Dirichlet",
-            sq_q, 4, ("boundary",), _checkerboard("diffusion", 10.0),
-            "diffusion_a10", 3),
-        "diffusion_a100": ProblemSpec(
-            "diffusion_a100",
-            "checkerboard diffusion, contrast 100, Dirichlet",
-            sq_q, 4, ("boundary",), _checkerboard("diffusion", 100.0),
-            "diffusion_a100", 3),
-        "slit_square": ProblemSpec(
-            "slit_square",
-            "unit square with interior slit, shifted operator, Dirichlet "
-            "outside, Neumann on the slit",
-            slit_square_grid, 4, ("outer",), Coefficients(c=1.0),
-            "slit_square", 4),
-    }
+    return {spec.key: spec for spec in (
+        ProblemSpec("square_dirichlet",
+                    "Laplacian on the unit square, Dirichlet boundary",
+                    square_grid, 4, ("boundary",), Coefficients(), 4),
+        ProblemSpec("square_neumann",
+                    "Laplacian on the unit square, Neumann boundary",
+                    square_grid, 4, (), Coefficients(), 4),
+        ProblemSpec("triangle",
+                    "Laplacian on the unit equilateral triangle, Dirichlet",
+                    tri, 4, ("boundary",), Coefficients(), 4),
+        ProblemSpec("triangle_hole",
+                    "equilateral triangle, side 2, concentric side-1/2 hole, "
+                    "Dirichlet on both boundaries",
+                    hole, 0, ("outer", "hole"), Coefficients(), 3),
+        ProblemSpec("reaction_kappa10",
+                    "checkerboard zero-order term, contrast 10, Neumann",
+                    sq_q, 4, (), _checkerboard("reaction", 10.0), 4),
+        ProblemSpec("reaction_kappa100",
+                    "checkerboard zero-order term, contrast 100, Neumann",
+                    sq_q, 4, (), _checkerboard("reaction", 100.0), 4),
+        ProblemSpec("diffusion_a10",
+                    "checkerboard diffusion, contrast 10, Dirichlet",
+                    sq_q, 4, ("boundary",), _checkerboard("diffusion", 10.0), 3),
+        ProblemSpec("diffusion_a100",
+                    "checkerboard diffusion, contrast 100, Dirichlet",
+                    sq_q, 4, ("boundary",), _checkerboard("diffusion", 100.0), 3),
+        ProblemSpec("slit_square",
+                    "unit square with interior slit, shifted operator, "
+                    "Dirichlet outside, Neumann on the slit",
+                    slit_square_grid, 4, ("outer",), Coefficients(c=1.0), 4),
+    )}
 
 
 def problem(key):

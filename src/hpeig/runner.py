@@ -15,7 +15,7 @@ import numpy as np
 
 from .adaptivity import adapt_loop
 from .config import ConfigError
-from .estimator import total_error
+from .estimator import effectivity, total_error
 from .problems import problem
 from .spectra import registry
 from .vtkio import write_vtk
@@ -46,9 +46,9 @@ def study_rows(record, refs, seconds):
     row += [_fmt(e) for e in field.mode_totals]
     row.append(_fmt(field.total))
     if field.included.any():
-        total_err = total_error(values, refs, field.included)
-        row.append(_fmt(total_err))
-        row.append(_fmt(total_err / field.total) if field.total > 0 else "")
+        row.append(_fmt(total_error(values, refs, field.included)))
+        eff = effectivity(field, refs)
+        row.append("" if np.isnan(eff) else _fmt(eff))
     else:
         row += ["", ""]
     row.append(_fmt(seconds))

@@ -187,6 +187,10 @@ def test_adapt_config_validation():
         AdaptConfig(m=0)
     with pytest.raises(ValueError):
         AdaptConfig(m=1, p_init=5, p_max=4)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="dof_budget"):
+            AdaptConfig(m=1, dof_budget=budget)
+    assert AdaptConfig(m=1, dof_budget=1).dof_budget == 1
 
 
 def test_adapt_loop_square_converges_and_warm_starts():

@@ -75,6 +75,8 @@ def test_run_m_above_references_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, setting", [
     ("adapt", "max_steps = 0"),
+    ("adapt", "dof_budget = 0"),
+    ("adapt", "dof_budget = -5"),
     ("adapt", "sigma0 = nan"),
     ("solver", "max_iter = 0"),
     ("solver", "tol = 0"),
@@ -98,6 +100,25 @@ def test_run_out_of_range_setting_exits_2(tmp_path, capsys, section, setting):
     assert cli.main(["run", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+@pytest.mark.parametrize("body, message", [
+    (b"\xff\xfe[problem]\nname = square_dirichlet\n", "cannot parse"),
+    (b"[problem]\nname = square_dirichlet\n\n[adapt]\ntheta = 30%\n",
+     "bad value for 'theta'"),
+], ids=["not-utf8", "percent"])
+def test_non_utf8_file_and_percent_value_exit_2(tmp_path, capsys, command,
+                                               body, message):
+    path = tmp_path / "run.ini"
+    path.write_bytes(body)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -151,8 +151,23 @@ m = 8
 """))
 
 
+@pytest.mark.parametrize("body, match", [
+    (b"\xff\xfe[problem]\nname = triangle\n", "cannot parse"),
+    (b"[problem]\nname = triangle\n\n[adapt]\ntheta = 30%\n",
+     "bad value for 'theta'"),
+], ids=["not-utf8", "percent"])
+def test_non_utf8_file_and_percent_value_rejected(tmp_path, body, match):
+    # values are read literally: a '%' is no interpolation syntax
+    path = tmp_path / "run.ini"
+    path.write_bytes(body)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(str(path))
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("adapt", "max_steps", "0"),
+    ("adapt", "dof_budget", "0"),
+    ("adapt", "dof_budget", "-5"),
     ("adapt", "sigma0", "nan"),
     ("solver", "max_iter", "0"),
     ("solver", "tol", "0"),

@@ -13,6 +13,10 @@ def test_registry_keys():
     assert len(keys) == 9
     assert "square_dirichlet" in keys
     assert "slit_square" in keys
+    for key in keys:
+        # the key names the reference spectrum, and every key has one
+        assert problem(key).key == problem(key).reference == key
+        assert registry(key).name == key
     with pytest.raises(KeyError):
         problem("no_such_problem")
 
