@@ -193,25 +193,21 @@ def assemble_mass(handler):
 
 
 def mass_operator(handler):
-    """assemble_mass(handler) as a LinearOperator: per vector a signed
-    gather, one product per degree group, a scale and a bincount; scipy
-    applies it to a block column by column."""
-    n, groups = handler.n_dofs, handler.groups.values()
-    ends = np.cumsum([0] + [g.size for _, g, _ in groups]).tolist()
-    blocks = [(slice(a, b), 0.5 * (M + M.T)) for a, b, M in zip(
-        ends, ends[1:], (reference_kernels(p)["M"] for p in handler.groups))]
-    dofs = np.concatenate([np.maximum(g, 0).ravel() for _, g, _ in groups])
-    signs = np.concatenate([s.ravel() for _, _, s in groups])
-    scale = signs * np.concatenate([np.repeat(handler.mesh.detJ[ids], g.shape[1])
-                                    for ids, g, _ in groups])
+    """assemble_mass(handler) as a LinearOperator: per vector, each degree
+    group's DofHandler.gather times the symmetrized reference mass and the
+    detJ-sign scale, then one bincount; scipy applies it column by column."""
+    n, groups, detJ = handler.n_dofs, handler.groups, handler.mesh.detJ
+    blocks = {p: (reference_kernels(p)["M"], s * detJ[ids, None])
+              for p, (ids, _, s) in groups.items()}
+    blocks = {p: (0.5 * (M + M.T), scale) for p, (M, scale) in blocks.items()}
+    dofs = np.concatenate([np.maximum(g, 0).ravel() for _, g, _ in groups.values()])
 
     def apply(x):
         if not n:
             return np.zeros(0)
-        loc = x.ravel()[dofs] * signs
-        out = np.concatenate([(loc[part].reshape(-1, len(M)) @ M).ravel()
-                              for part, M in blocks]) * scale
-        return np.bincount(dofs, out, minlength=n)
+        x = x.ravel()
+        out = [(handler.gather(x, p) @ M) * scale for p, (M, scale) in blocks.items()]
+        return np.bincount(dofs, np.concatenate(out, axis=None), minlength=n)
 
     return scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
 

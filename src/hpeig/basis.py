@@ -99,15 +99,6 @@ def _kernel_scale(jmax):
     return -4.0 * np.sqrt((2 * k - 1) / 2.0) / ((k - 1) * k)
 
 
-def kernel_table(x, jmax, nderiv=0):
-    """Kernels psi_0..psi_jmax and derivatives at points x.
-
-    Returns shape (nderiv+1, jmax+1) + x.shape.  psi_j has degree j.
-    """
-    T = legendre_table(x, jmax + 1, nderiv + 1)[1:, 1:]
-    return _kernel_scale(jmax).reshape((-1,) + (1,) * (T.ndim - 2)) * T
-
-
 def _arguments(lam, one=1.0):
     """The eight factor arguments: lam_0..lam_2, the edge coordinates
     lam_b - lam_a, lam_1 - lam_0, 2 lam_2 - one (gradients: one = 0)."""

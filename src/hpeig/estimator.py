@@ -91,21 +91,19 @@ def edge_jump_norms(handler, local, W):
     scale = mesh.detJ[:, None] / mesh.edge_length[mesh.elem_edges]
     qvec = ((W @ -GRAD_LAMBDA.T) * scale[:, None, :]).T  # (3, 2, ne)
 
-    # flux[l, column[k], i]: side l of element k at its point i, one group
-    # after another; absent and Dirichlet sides read column[-1], zero
+    # flux[l, k, i]: side l of element k at its point i; absent and
+    # Dirichlet sides read element ne, zero
     flux = np.zeros((3, ne + 1, wq.size, next(iter(local.values())).shape[-1]))
-    column, start = np.full(ne + 1, ne), 0
     for p, (ids, _, _) in handler.groups.items():
-        U, end = local[p], start + ids.size
+        U = local[p]
         G = (E[:, :, :len(U)].reshape(-1, len(U)) @ U.reshape(len(U), -1)
              ).reshape(3, 2, wq.size, *U.shape[1:])
         q = qvec[:, :, None, ids, None]
-        flux[:, start:end] = np.swapaxes(q[:, 0] * G[:, 0] + q[:, 1] * G[:, 1], 1, 2)
-        column[ids], start = np.arange(start, end), end
+        flux[:, ids] = np.swapaxes(q[:, 0] * G[:, 0] + q[:, 1] * G[:, 1], 1, 2)
 
     # the second side runs against the edge (interior sides differ): read backwards
     k, l = mesh.edge_elems, np.maximum(mesh.edge_local, 0)
-    side = l * (ne + 1) + column[np.where(handler.edge_kinds[:, None] == 1, -1, k)]
+    side = l * (ne + 1) + np.where((handler.edge_kinds[:, None] == 1) | (k < 0), ne, k)
     side = np.where(mesh.elem_reversed[k[:, :1], l[:, :1]], side[:, ::-1], side)
     flux = flux.reshape(-1, *flux.shape[2:])
     jump = flux[side[:, 0]] + flux[side[:, 1], ::-1]

@@ -1,13 +1,14 @@
 """Test helpers: evaluation and interpolation of discrete fields, edge
-traces, a mesh's boundary tags in the form Mesh takes them, an earlier
-transfer that copies vertex, edge and bubble blocks, earlier assembly
-by einsum element matrices and a global symmetrization, the earlier
-COO scatter of per-group entry lists, the load by quadrature, the
-defect report on the fully assembled surrogate stiffness, the
-eigensolve as it was when M had to be sparse, the Dubiner basis, an
-orthonormal modal basis made apart from the hierarchical one, the
-equilateral triangle grid built by nested loops, and the Bessel-root
-iteration run one bracket at a time.
+traces, the integrated-Legendre kernels on their own, a mesh's boundary
+tags in the form Mesh takes them, an earlier transfer that copies
+vertex, edge and bubble blocks, earlier assembly by einsum element
+matrices and a global symmetrization, the earlier COO scatter of
+per-group entry lists, the load by quadrature, the mass product through
+one flat copy of the signed gather, the defect report on the fully
+assembled surrogate stiffness, the eigensolve as it was when M had to
+be sparse, the Dubiner basis, an orthonormal modal basis made apart
+from the hierarchical one, the equilateral triangle grid built by
+nested loops, and the Bessel-root iteration run one bracket at a time.
 
 The library never evaluates a field at arbitrary points or builds one
 from a callable; the tests do both to check it independently.
@@ -25,11 +26,20 @@ from hpeig.assembly import (assemble_stiffness, pulled_back_diffusion,
                             reference_kernels)
 from hpeig.defects import DefectReport, fine_handler, prolong
 from hpeig.eigensolve import SPD_LU
-from hpeig.basis import (bubble_indices, kernel_table, legendre_table, n_local,
+from hpeig.basis import (_kernel_scale, bubble_indices, legendre_table, n_local,
                          tri_shapes)
 from hpeig.mesh import CHILD_POSITIONS, _normalize
 from hpeig.quadrature import interval_rule, triangle_rule
 from hpeig.space import DofHandler
+
+
+def kernel_table(x, jmax, nderiv=0):
+    """Kernels psi_0..psi_jmax and derivatives at points x.
+
+    Returns shape (nderiv+1, jmax+1) + x.shape.  psi_j has degree j.
+    """
+    T = legendre_table(x, jmax + 1, nderiv + 1)[1:, 1:]
+    return _kernel_scale(jmax).reshape((-1,) + (1,) * (T.ndim - 2)) * T
 
 
 def edge_shapes(p, t):
@@ -324,6 +334,33 @@ def reference_load(handler, coeffs):
         ok = g >= 0
         np.add.at(out, g[ok], rhs[ok])
     return out[:, 0] if squeeze else out
+
+
+def reference_mass_product(handler, x):
+    """mass_operator(handler) @ x as it was, its bitwise oracle: one flat
+    copy of the signed gather and of the detJ-sign scale over all groups,
+    each column applied on its own."""
+    n, groups = handler.n_dofs, handler.groups.values()
+    ends = np.cumsum([0] + [g.size for _, g, _ in groups]).tolist()
+    blocks = [(slice(a, b), 0.5 * (M + M.T)) for a, b, M in zip(
+        ends, ends[1:], (reference_kernels(p)["M"] for p in handler.groups))]
+    dofs = np.concatenate([np.maximum(g, 0).ravel() for _, g, _ in groups])
+    signs = np.concatenate([s.ravel() for _, _, s in groups])
+    scale = signs * np.concatenate([np.repeat(handler.mesh.detJ[ids], g.shape[1])
+                                    for ids, g, _ in groups])
+
+    def apply(x):
+        if not n:
+            return np.zeros(0)
+        loc = x.ravel()[dofs] * signs
+        out = np.concatenate([(loc[part].reshape(-1, len(M)) @ M).ravel()
+                              for part, M in blocks]) * scale
+        return np.bincount(dofs, out, minlength=n)
+
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return apply(x)
+    return np.column_stack([apply(col) for col in x.T])
 
 
 def reference_element_builders(handler, co):

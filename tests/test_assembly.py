@@ -23,7 +23,8 @@ from hpeig.quadrature import triangle_rule
 from hpeig.space import DofHandler
 
 from helpers import (evaluate, reference_element_builders, reference_load,
-                     reference_scatter, reference_stiffness_mass, side_tags)
+                     reference_mass_product, reference_scatter,
+                     reference_stiffness_mass, side_tags)
 
 
 def quadrant_regions(cents):
@@ -228,6 +229,8 @@ def test_mass_operator_matches_assembled_mass(base, data):
             got, want = op @ x, M @ x
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            # bit for bit the product through one flat copy of the gather
+            assert got.tobytes() == reference_mass_product(h, x).tobytes()
 
 
 def assert_same_csr(got, want):
@@ -247,6 +250,7 @@ def test_assembly_on_zero_dof_space_matches_reference():
     for shape in ((0,), (0, 3)):
         got = mass_operator(h) @ np.zeros(shape)
         assert got.shape == shape and got.dtype == float
+        assert got.tobytes() == reference_mass_product(h, np.zeros(shape)).tobytes()
 
 
 def test_assembly_peak_memory_within_four_times_result():

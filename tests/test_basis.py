@@ -7,7 +7,6 @@ from hpeig.basis import (
     EDGE_VERTICES,
     GRAD_LAMBDA,
     edge_mode_indices,
-    kernel_table,
     layout,
     legendre_table,
     n_local,
@@ -15,7 +14,7 @@ from hpeig.basis import (
 )
 from hpeig.quadrature import triangle_rule
 
-from helpers import dubiner, dubiner_degrees, edge_shapes
+from helpers import dubiner, dubiner_degrees, edge_shapes, kernel_table
 
 
 def interior_points(n, seed=0):
